@@ -7,6 +7,8 @@ hundreds of candidates decide in single-digit milliseconds — negligible
 next to staging gigabyte files over a WAN.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,14 @@ def test_selection_latency(benchmark, n):
     inst = make_instance(n, max(n, 100))
     result = benchmark(opt_cache_select, inst)
     assert result.total_value > 0
+    if benchmark.stats is not None:
+        mean_s = benchmark.stats["mean"]
+    else:  # --benchmark-disable collects no stats: time one call directly
+        t0 = time.perf_counter()
+        opt_cache_select(inst)
+        mean_s = time.perf_counter() - t0
     # "almost negligible": even 800 candidates decide well under 100 ms
-    assert benchmark.stats["mean"] < 0.1
+    assert mean_s < 0.1
 
 
 @pytest.mark.benchmark(group="selection-speed")

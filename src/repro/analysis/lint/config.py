@@ -94,10 +94,9 @@ DEFAULT_ALLOW: dict[str, tuple[str, ...]] = {
 #: is the interprocedural twin of ``DEFAULT_ALLOW``: a pure root may
 #: reach a telemetry span (host timings feed metric histograms, never
 #: the event trace) without breaking its contract, and the service's
-#: async handlers intentionally perform their durable writes
-#: synchronously under the coordinator lock — the single-writer design
-#: PR 7 adopted — so blocking effects originating in the durability
-#: layer are sanctioned for RPR102.
+#: handlers intentionally perform their durable writes synchronously on
+#: the one event loop — the single-writer design — so blocking effects
+#: originating in the durability layer are sanctioned for RPR102.
 DEFAULT_EFFECT_ALLOW: dict[str, tuple[str, ...]] = {
     "RPR101": (
         "*/repro/telemetry/*",

@@ -27,7 +27,7 @@ transitively reach a blocking call (file/socket I/O, ``subprocess``,
 edges through ``asyncio.to_thread`` / ``run_in_executor``.  The
 durability layer is origin-allowlisted by default: the service's
 single-writer commit path intentionally performs its journal writes
-synchronously under the coordinator lock.
+synchronously on the event loop.
 
 **RPR103 — commit-order protocol.**  Durable execution paths must
 preserve the arrivals-flush → trace-lines → journal-frame → checkpoint
@@ -207,14 +207,13 @@ class CommitProtocol:
     stages: tuple[tuple[str, tuple[str, ...]], ...] = (
         (
             "arrivals-flush",
-            ("*._append_arrival", "_append_arrival", "*_arrivals.write",
-             "*_arrivals.flush"),
+            ("*._append_arrival", "*_arrivals.write", "*_arrivals.flush"),
         ),
         ("trace-lines", ("*core.submit",)),
         ("journal-frame", ("*journal.append",)),
         (
             "checkpoint",
-            ("write_checkpoint", "*.write_checkpoint", "*._checkpoint",
+            ("write_checkpoint", "*._checkpoint",
              "*journal.truncate_to_checkpoint"),
         ),
     )

@@ -897,8 +897,7 @@ def _run_loadgen(args: argparse.Namespace) -> None:
         print(
             f"  server ms: p50 {report.server_p50_ms:.2f}, "
             f"p99 {report.server_p99_ms:.2f}, mean {report.server_mean_ms:.2f} "
-            f"(queue {report.queue_wait_mean_ms:.2f}, "
-            f"plan {report.plan_mean_ms:.2f}, "
+            f"(plan {report.plan_mean_ms:.2f}, "
             f"apply {report.apply_mean_ms:.2f}); "
             f"net overhead mean {report.net_overhead_mean_ms:.2f}"
         )

@@ -15,9 +15,13 @@ this subsystem makes simulation state durable:
   snapshots of :class:`~repro.cache.state.CacheState`, the policy's
   exported state (history, credits, heaps), metrics, and queue state,
   with journal truncation once a checkpoint lands;
-* :mod:`repro.durability.runner` — :func:`run_durable` /
-  :func:`resume_run`: the journaled simulation loop and the recovery
-  path that re-executes the journal tail and continues byte-identically.
+* :mod:`repro.durability.runner` — the durable engine,
+  :class:`JournaledCoordinator`: one implementation of the per-job
+  commit (trace lines → journal frame → checkpoint every N jobs) and of
+  recovery (newest checkpoint, journal tail as replay oracle, trace
+  truncation, byte-identical re-execution).  It has two feeders:
+  :func:`run_durable` / :func:`resume_run` feed it a workload trace, and
+  :class:`repro.service.state.CoordinatorState` feeds it HTTP jobs.
 """
 
 from repro.durability.atomicio import (
@@ -44,6 +48,7 @@ from repro.durability.journal import (
 from repro.durability.runner import (
     DurabilityConfig,
     DurableReport,
+    JournaledCoordinator,
     resume_run,
     run_durable,
 )
@@ -66,6 +71,7 @@ __all__ = [
     "list_checkpoints",
     "DurabilityConfig",
     "DurableReport",
+    "JournaledCoordinator",
     "run_durable",
     "resume_run",
 ]

@@ -5,8 +5,9 @@ trace"; this package answers the paper's actual operating question —
 jobs arrive one at a time and the coordinator must commit to
 admit/evict/prefetch decisions online.  It is deliberately thin: the
 decision body is the same :class:`~repro.sim.coordinator.CoordinatorCore`
-the batch drivers hold, the durability is the PR-6 journal/checkpoint
-machinery, the telemetry is the standard
+the batch drivers hold, the durability is the same
+:class:`~repro.durability.runner.JournaledCoordinator` the durable batch
+runner feeds, the telemetry is the standard
 :class:`~repro.telemetry.recorder.TraceRecorder` — the service only adds
 an arrivals record and an HTTP surface.
 

@@ -2,14 +2,14 @@
 
 Serving model
 -------------
-One :class:`~repro.service.state.CoordinatorState` behind one
-:class:`asyncio.Lock`.  Every request that touches state acquires the
-lock, so decisions are strictly serialized — the online system keeps the
-batch simulator's single-writer semantics, and at client concurrency 1
-the decision trace is byte-identical to the batch run's.  Higher client
-concurrency interleaves *arrival order*, never decision internals: the
-trace still passes invariant checking and reconstructs the live cache
-exactly.
+One :class:`~repro.service.state.CoordinatorState` on one event loop.
+Every handler's state access (``submit`` and the read-side payloads) is
+synchronous — no ``await`` inside it — so the loop itself serializes
+decisions: the online system keeps the batch simulator's single-writer
+semantics, and at client concurrency 1 the decision trace is
+byte-identical to the batch run's.  Higher client concurrency
+interleaves *arrival order*, never decision internals: the trace still
+passes invariant checking and reconstructs the live cache exactly.
 
 The route table :data:`ROUTES` is the single source of truth for the
 service's HTTP surface; the README's "Running as a service" section is
@@ -71,7 +71,6 @@ class CoordinatorService:
 
     def __init__(self, state: CoordinatorState):
         self.state = state
-        self._lock = asyncio.Lock()
         self._stopping = asyncio.Event()
         self._fatal: BaseException | None = None
         self._connections: set[asyncio.Task] = set()
@@ -143,7 +142,7 @@ class CoordinatorService:
                     route=route,
                     client_id=request.headers.get(REQUEST_ID_HEADER.lower()),
                 ) as rt:
-                    response = await self._dispatch(request, rt)
+                    response = self._dispatch(request, rt)
                     if rt is not None:
                         rt.status = response.status
                         response.headers.setdefault(
@@ -174,7 +173,7 @@ class CoordinatorService:
             except (ConnectionError, OSError):
                 pass
 
-    async def _dispatch(
+    def _dispatch(
         self, request: HttpRequest, rt: RequestTrace | None
     ) -> HttpResponse:
         path, _, query = request.target.partition("?")
@@ -185,7 +184,7 @@ class CoordinatorService:
                 405, f"{request.method} not allowed on {path!r}"
             )
         if path == "/v1/jobs":
-            return await self._post_job(request, rt)
+            return self._post_job(request, rt)
         if path == "/v1/debug/requests":
             return json_response(self.state.tracer.payload())
         if path == "/v1/debug/slow":
@@ -197,19 +196,18 @@ class CoordinatorService:
                     "spans": span_profile(self.state.registry),
                 }
             )
-        async with self._lock:
-            if path == "/v1/cache":
-                return json_response(self.state.cache_payload())
-            if path == "/v1/config":
-                return json_response(self.state.config_payload())
-            if path == "/healthz":
-                return json_response(self.state.health_payload())
-            # /metrics — the one non-JSON endpoint
-            return HttpResponse(
-                status=200,
-                body=self.state.prometheus().encode("utf-8"),
-                content_type=PROMETHEUS_CONTENT_TYPE,
-            )
+        if path == "/v1/cache":
+            return json_response(self.state.cache_payload())
+        if path == "/v1/config":
+            return json_response(self.state.config_payload())
+        if path == "/healthz":
+            return json_response(self.state.health_payload())
+        # /metrics — the one non-JSON endpoint
+        return HttpResponse(
+            status=200,
+            body=self.state.prometheus().encode("utf-8"),
+            content_type=PROMETHEUS_CONTENT_TYPE,
+        )
 
     def _debug_slow(self, query: str) -> HttpResponse:
         """``GET /v1/debug/slow[?threshold_ms=X]``."""
@@ -242,7 +240,7 @@ class CoordinatorService:
             }
         )
 
-    async def _post_job(
+    def _post_job(
         self, request: HttpRequest, rt: RequestTrace | None
     ) -> HttpResponse:
         try:
@@ -257,24 +255,16 @@ class CoordinatorService:
         priority = payload.get("priority", 1.0)
         if not isinstance(priority, (int, float)) or isinstance(priority, bool):
             return error_response(400, "'priority' must be a number")
-        # time the lock acquisition as queue.wait: under client
-        # concurrency this is where a request sits behind the
-        # single-writer decision loop
-        with self.state.recorder.span("queue.wait"):
-            await self._lock.acquire()
         try:
-            try:
-                result = self.state.submit(files, priority=float(priority))
-            except InjectedCrashError as exc:
-                # chaos: treat like the process death it stands in for —
-                # no response, tear the server down, surface via run()
-                self._fatal = exc
-                self._stopping.set()
-                raise
-            except ReproError as exc:
-                return error_response(400, str(exc))
-        finally:
-            self._lock.release()
+            result = self.state.submit(files, priority=float(priority))
+        except InjectedCrashError as exc:
+            # chaos: treat like the process death it stands in for —
+            # no response, tear the server down, surface via run()
+            self._fatal = exc
+            self._stopping.set()
+            raise
+        except ReproError as exc:
+            return error_response(400, str(exc))
         body: dict[str, Any] = result.as_dict()
         if rt is not None:
             # re-point the provisional read-side id at the job-derived

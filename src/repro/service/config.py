@@ -6,7 +6,9 @@ the batch drivers take: the simulation parameters
 service admits jobs in arrival order), the durability parameters of
 :class:`~repro.durability.runner.DurabilityConfig`, and the chaos specs
 (:class:`~repro.faults.crash.CrashSpec`,
-:class:`~repro.faults.spec.FaultSpec`).
+:class:`~repro.faults.spec.FaultSpec`).  Construction builds the
+``simulation`` and ``durability`` configs the durable engine takes, so
+their checks run there, once.
 
 ``workload`` names a workload-trace file; the service takes its file
 catalog (and, for clairvoyant policies, the ``future`` bundle sequence)
@@ -21,10 +23,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.durability.journal import DEFAULT_SEGMENT_BYTES
+from repro.durability.runner import DurabilityConfig
 from repro.errors import ConfigError
 from repro.faults.crash import CrashSpec
 from repro.faults.spec import FaultSpec
 from repro.service.slo import SloConfig
+from repro.sim.simulator import SimulationConfig
 
 __all__ = ["ServiceConfig"]
 
@@ -49,16 +53,10 @@ class ServiceConfig:
         Jobs excluded from reported metrics (cache state still updates).
     check_invariants:
         Assert cache consistency after every job.
-    checkpoint_every:
-        Snapshot full state every N jobs (journal truncated each time).
-    fsync:
-        ``"rotate"`` (OS-buffered between checkpoints) or ``"always"``
-        (fsync every commit) — the durable runner's contract.
-    max_segment_bytes:
-        Journal segment rotation threshold.
-    crash:
-        Optional deterministic crash injection, ticked once per journal
-        commit (chaos testing).
+    checkpoint_every / fsync / max_segment_bytes / crash:
+        The durable engine's knobs, as documented on
+        :class:`~repro.durability.runner.DurabilityConfig`; the crash
+        injector ticks once per journal commit (chaos testing).
     fault:
         Optional grid-fault model; transfer faults are consulted per
         demand load and surface as simulated retries in the response
@@ -97,14 +95,21 @@ class ServiceConfig:
     slow_threshold_ms: float = 100.0
     profile_stream: bool = False
     slo: SloConfig = field(default_factory=SloConfig)
+    #: the engine's view of the knobs above (derived, not settable)
+    simulation: SimulationConfig = field(init=False, repr=False, compare=False)
+    durability: DurabilityConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workload", Path(self.workload))
         object.__setattr__(self, "run_dir", Path(self.run_dir))
-        if self.cache_size <= 0:
-            raise ConfigError(
-                f"cache_size must be positive, got {self.cache_size}"
-            )
+        sim = SimulationConfig(
+            self.cache_size,
+            self.policy,
+            self.policy_kwargs,
+            warmup=self.warmup,
+            check_invariants=self.check_invariants,
+        )
+        object.__setattr__(self, "simulation", sim)
         if self.warmup < 0:
             raise ConfigError(f"warmup must be non-negative, got {self.warmup}")
         if self.debug_ring < 0:
@@ -115,15 +120,11 @@ class ServiceConfig:
             raise ConfigError(
                 f"slow_threshold_ms must be positive, got {self.slow_threshold_ms}"
             )
-        if self.checkpoint_every < 1:
-            raise ConfigError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-        if self.fsync not in ("rotate", "always"):
-            raise ConfigError(
-                f"fsync must be 'rotate' or 'always', got {self.fsync!r}"
-            )
-        if self.max_segment_bytes < 1:
-            raise ConfigError(
-                f"max_segment_bytes must be positive, got {self.max_segment_bytes}"
-            )
+        durability = DurabilityConfig(
+            self.run_dir,
+            self.checkpoint_every,
+            self.fsync,
+            self.max_segment_bytes,
+            self.crash,
+        )
+        object.__setattr__(self, "durability", durability)

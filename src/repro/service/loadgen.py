@@ -61,7 +61,6 @@ class LoadgenReport:
     server_p50_ms: float = 0.0
     server_p99_ms: float = 0.0
     server_mean_ms: float = 0.0
-    queue_wait_mean_ms: float = 0.0
     plan_mean_ms: float = 0.0
     apply_mean_ms: float = 0.0
     net_overhead_mean_ms: float = 0.0
@@ -104,7 +103,6 @@ class LoadgenReport:
             "server_p50_ms": self.server_p50_ms,
             "server_p99_ms": self.server_p99_ms,
             "server_mean_ms": self.server_mean_ms,
-            "queue_wait_mean_ms": self.queue_wait_mean_ms,
             "plan_mean_ms": self.plan_mean_ms,
             "apply_mean_ms": self.apply_mean_ms,
             "net_overhead_mean_ms": self.net_overhead_mean_ms,
@@ -127,7 +125,6 @@ class _Aggregator:
         # server-side breakdown (ms), one entry per response carrying a
         # timing_ms block; net overhead is client latency minus server time
         self.server_ms: list[float] = []
-        self.queue_wait_ms: list[float] = []
         self.plan_ms: list[float] = []
         self.apply_ms: list[float] = []
         self.net_overhead_ms: list[float] = []
@@ -139,7 +136,6 @@ class _Aggregator:
         if isinstance(timing, dict):
             server_ms = float(timing.get("server_ms", 0.0))
             self.server_ms.append(server_ms)
-            self.queue_wait_ms.append(float(timing.get("queue_wait_ms", 0.0)))
             self.plan_ms.append(float(timing.get("plan_ms", 0.0)))
             self.apply_ms.append(float(timing.get("apply_ms", 0.0)))
             self.net_overhead_ms.append(max(0.0, latency_s * 1e3 - server_ms))
@@ -296,7 +292,6 @@ async def _run(
         server_p50_ms=_percentile(server, 50),
         server_p99_ms=_percentile(server, 99),
         server_mean_ms=_mean(agg.server_ms),
-        queue_wait_mean_ms=_mean(agg.queue_wait_ms),
         plan_mean_ms=_mean(agg.plan_ms),
         apply_mean_ms=_mean(agg.apply_ms),
         net_overhead_mean_ms=_mean(agg.net_overhead_ms),

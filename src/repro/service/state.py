@@ -1,11 +1,13 @@
 """Durable state behind the coordinator service.
 
-The service is the online face of the simulator: the same
-:class:`~repro.sim.coordinator.CoordinatorCore` the batch drivers hold,
-fed one HTTP job at a time, with the PR-6 durability machinery
-underneath.  The run directory extends the durable runner's layout with
-an *arrivals record* — the service cannot re-read its workload from a
-file because jobs arrive over the network, so it writes one::
+The service is the online front end of the durable engine,
+:class:`~repro.durability.runner.JournaledCoordinator`: the engine owns
+the run directory's manifest, trace, journal, checkpoints and recovery,
+and this module feeds it one HTTP job at a time.  What exists only
+online lives here: the *arrivals record* — jobs arrive over the network,
+so unlike a batch run there is no workload file to re-read them from —
+the request tracer, the SLO monitor, the metrics registry, fault-injected
+staging, and the read-side payloads::
 
     <run_dir>/
         manifest.json     service + simulation + durability parameters
@@ -16,17 +18,14 @@ file because jobs arrive over the network, so it writes one::
         checkpoints/      versioned state snapshots
 
 Per-job commit order: the job's **arrival line is flushed first**, then
-its telemetry lines are written, then its journal frame — so under a
-SIGKILL the arrivals record is always at least as durable as the
-journal, and every journaled decision can be re-derived from a persisted
-arrival.  Recovery (:meth:`CoordinatorState.resume`) is the durable
-runner's re-execution protocol verbatim: restore the newest checkpoint,
-truncate the trace to its offset, drop journal frames whose trace
-evidence did not survive, re-execute the persisted arrivals past the
-checkpoint while checking each one against its surviving frame
-(:class:`~repro.errors.ReplayDivergenceError` on any divergence), then
-continue serving new jobs.  The stitched trace is byte-identical to an
-uninterrupted run's.
+the engine commits it (trace lines, then journal frame, then a
+checkpoint every N jobs) — so under a SIGKILL the arrivals record is
+always at least as durable as the journal, and every journaled decision
+can be re-derived from a persisted arrival.  Recovery
+(:meth:`CoordinatorState.resume`) re-feeds the persisted arrivals past
+the engine's checkpoint through the same path, then continues serving
+new jobs; the stitched trace is byte-identical to an uninterrupted
+run's.
 """
 
 from __future__ import annotations
@@ -34,47 +33,23 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import IO, Any
 
-from repro.cache.registry import make_policy
-from repro.cache.state import CacheState
 from repro.core.bundle import FileBundle
 from repro.core.request import Request
-from repro.durability.atomicio import atomic_write_bytes, atomic_write_json, fsync_dir
-from repro.durability.checkpoint import latest_checkpoint, write_checkpoint
-from repro.durability.journal import (
-    JournalFrame,
-    JournalWriter,
-    list_segments,
-    read_journal_dir,
-)
-from repro.durability.runner import (
-    MANIFEST_SCHEMA_VERSION,
-    DurabilityConfig,
-    _append_torn_frame,
-    _check_frame,
-    _config_from_manifest,
-    _config_to_manifest,
-    _TeeSink,
-)
-from repro.errors import (
-    DurabilityError,
-    ReplayDivergenceError,
-    ServiceError,
-    UnknownFileError,
-)
-from repro.faults.crash import CrashInjector, CrashSpec
+# kept for perfbench/serve_traced.py, which wraps this module's name
+from repro.durability.checkpoint import write_checkpoint as write_checkpoint
+from repro.durability.runner import JournaledCoordinator, load_manifest
+from repro.errors import DurabilityError, ServiceError, UnknownFileError
+from repro.faults.crash import CrashSpec
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultSpec
 from repro.service.config import ServiceConfig
 from repro.service.slo import SloConfig, SloMonitor
-from repro.sim.coordinator import CoordinatorCore, JobOutcome
-from repro.sim.metrics import MetricsCollector
-from repro.sim.simulator import SimulationConfig
-from repro.telemetry.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
-from repro.telemetry.recorder import TraceRecorder, use_recorder
-from repro.telemetry.sinks import JsonlSink
+from repro.sim.coordinator import JobOutcome
+from repro.telemetry.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.telemetry.tracing import RequestTracer, request_id_for_job
 from repro.workload.trace import Trace
 
@@ -121,58 +96,6 @@ class JobResult:
         }
 
 
-def _service_manifest(config: ServiceConfig) -> dict[str, Any]:
-    sim = SimulationConfig(
-        cache_size=config.cache_size,
-        policy=config.policy,
-        policy_kwargs=config.policy_kwargs,
-        warmup=config.warmup,
-        check_invariants=config.check_invariants,
-    )
-    durability = DurabilityConfig(
-        run_dir=config.run_dir,
-        checkpoint_every=config.checkpoint_every,
-        fsync=config.fsync,
-        max_segment_bytes=config.max_segment_bytes,
-    )
-    doc = _config_to_manifest(sim, durability)
-    doc["kind"] = "service"
-    doc["fault"] = (
-        None
-        if config.fault is None
-        else {
-            "seed": config.fault.seed,
-            "drive_failure_rate": config.fault.drive_failure_rate,
-            "transfer_failure_rate": config.fault.transfer_failure_rate,
-            "latency_spike_rate": config.fault.latency_spike_rate,
-            "latency_spike_factor": config.fault.latency_spike_factor,
-            "site_downtime_rate": config.fault.site_downtime_rate,
-            "mean_downtime": config.fault.mean_downtime,
-        }
-    )
-    return doc
-
-
-def _load_service_manifest(run_dir: Path) -> dict[str, Any]:
-    path = run_dir / "manifest.json"
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DurabilityError(f"{path}: unreadable service manifest: {exc}") from None
-    if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-        raise DurabilityError(
-            f"{path}: unsupported manifest schema v{doc.get('schema_version')!r} "
-            f"(this build reads v{MANIFEST_SCHEMA_VERSION})"
-        )
-    if doc.get("kind") != "service":
-        raise DurabilityError(
-            f"{path}: not a coordinator-service run "
-            f"(kind={doc.get('kind', 'batch')!r}); use resume_run() for "
-            "batch durable runs"
-        )
-    return doc
-
-
 def _load_arrivals(path: Path) -> tuple[Trace, int]:
     """Read the arrivals record, tolerating a crash-torn final line.
 
@@ -198,27 +121,20 @@ class CoordinatorState:
 
     Construct via :meth:`create` (fresh run directory) or :meth:`resume`
     (recover an interrupted one).  All methods are synchronous and not
-    thread-safe; the HTTP layer serializes access through one
-    :class:`asyncio.Lock` — single-writer semantics is the service's
+    thread-safe; the HTTP layer runs them on one event loop, which
+    serializes them — single-writer semantics is the service's
     consistency model, exactly like the batch loop's.
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig,
-        workload: Trace,
-        *,
-        restored: dict[str, Any] | None,
-        start_seq: int,
-        next_job: int,
-        tail_frames: list[JournalFrame],
-        oracle: bytes,
-    ):
+    def __init__(self, config: ServiceConfig, engine: JournaledCoordinator):
         self.config = config
-        self.workload = workload
+        self.engine = engine
         self.run_dir = config.run_dir
-        self.sizes = workload.catalog.as_dict()
-        self.registry = MetricsRegistry()
+        self.sizes = engine.sizes
+        self.recorder = engine.recorder
+        self.cache = engine.cache
+        self.metrics = engine.metrics
+        self.registry = engine.recorder.registry
         self._http_requests = self.registry.counter_family(
             "service_http_requests_total",
             "HTTP requests handled",
@@ -254,48 +170,7 @@ class CoordinatorState:
             slow_threshold_s=config.slow_threshold_ms / 1e3,
             profile_stream=self._profile_fh,
         )
-
-        trace_path = self.run_dir / "trace.jsonl"
-        self._jsonl = JsonlSink(trace_path, append=restored is not None or next_job > 0)
-        self._sink = _TeeSink(self._jsonl)
-        self.recorder = TraceRecorder(
-            self._sink, registry=self.registry, start_seq=start_seq
-        )
-        self.trace_path = trace_path
-
-        with use_recorder(self.recorder):
-            self.cache = (
-                CacheState.restore(restored["cache"])
-                if restored is not None
-                else CacheState(config.cache_size)
-            )
-            self.policy = make_policy(
-                config.policy, future=workload.bundles(), **config.policy_kwargs
-            )
-            self.policy.bind(self.cache, self.sizes)
-            if restored is not None:
-                self.policy.import_state(restored["policy"])
-            self.metrics = MetricsCollector(
-                warmup=config.warmup, registry=self.registry
-            )
-            if restored is not None:
-                self.metrics.import_state(restored["metrics"])
-            self.core = CoordinatorCore(
-                cache=self.cache,
-                policy=self.policy,
-                sizes=self.sizes,
-                metrics=self.metrics,
-                recorder=self.recorder,
-                check_invariants=config.check_invariants,
-            )
-
-        self.journal = JournalWriter(
-            self.run_dir / "journal",
-            max_segment_bytes=config.max_segment_bytes,
-            fsync=config.fsync,
-        )
         self._strict = config.fsync == "always"
-        self._crash = CrashInjector(config.crash) if config.crash is not None else None
         # built outside any recorder context on purpose: service fault
         # injection is response-payload/metrics chaos only and must not
         # emit into the decision trace (differential comparison stays
@@ -305,16 +180,21 @@ class CoordinatorState:
             if config.fault is not None and config.fault.enabled
             else None
         )
-
-        self._tail_frames = tail_frames
-        self._replayed = 0
-        self._oracle = oracle
-        self._oracle_base = self._jsonl.bytes_written
-        self.next_job = next_job
-        self.checkpoints_written = 0
-        self.resumed_from_job = next_job
         self._arrivals: IO[bytes] | None = None
         self._closed = False
+
+    @property
+    def next_job(self) -> int:
+        """Index the next accepted job gets (= jobs serviced so far)."""
+        return self.engine.next_job
+
+    @property
+    def resumed_from_job(self) -> int:
+        return self.engine.resumed_from_job
+
+    @property
+    def checkpoints_written(self) -> int:
+        return self.engine.checkpoints_written
 
     # ------------------------------------------------------------------ #
     # construction
@@ -322,42 +202,28 @@ class CoordinatorState:
     @classmethod
     def create(cls, config: ServiceConfig) -> "CoordinatorState":
         """Initialise a fresh run directory and an empty cache."""
-        run_dir = config.run_dir
-        if (run_dir / "manifest.json").exists():
-            raise DurabilityError(
-                f"{run_dir} already contains a run; use CoordinatorState.resume() "
-                "or a fresh directory"
-            )
         workload = Trace.load(config.workload)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        sync = config.fsync == "always"
-        atomic_write_bytes(
-            run_dir / "workload.jsonl",
-            Path(config.workload).read_bytes(),
-            fsync=sync,
-        )
-        atomic_write_json(
-            run_dir / "manifest.json", _service_manifest(config), fsync=sync
-        )
-        state = cls(
-            config,
+        engine = JournaledCoordinator.create(
+            config.simulation,
+            config.durability,
             workload,
-            restored=None,
-            start_seq=0,
-            next_job=0,
-            tail_frames=[],
-            oracle=b"",
+            workload_bytes=Path(config.workload).read_bytes(),
+            manifest_extra={
+                "kind": "service",
+                "fault": None if config.fault is None else asdict(config.fault),
+            },
         )
+        state = cls(config, engine)
         header = {
             "type": "header",
             "version": 1,
             "meta": {"kind": "service-arrivals"},
             "files": dict(workload.catalog.items()),
         }
-        fh = open(run_dir / "arrivals.jsonl", "wb")
+        fh = open(config.run_dir / "arrivals.jsonl", "wb")
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         fh.flush()
-        if sync:
+        if state._strict:
             os.fsync(fh.fileno())
         state._arrivals = fh
         return state
@@ -387,9 +253,7 @@ class CoordinatorState:
         caller supplies them afresh.
         """
         run_dir = Path(run_dir)
-        doc = _load_service_manifest(run_dir)
-        sim = _config_from_manifest(doc)
-        dur = doc["durability"]
+        sim, dur, doc = load_manifest(run_dir, kind="service", crash=crash)
         fault = None if doc.get("fault") is None else FaultSpec(**doc["fault"])
         config = ServiceConfig(
             workload=run_dir / "workload.jsonl",
@@ -399,9 +263,9 @@ class CoordinatorState:
             policy_kwargs=sim.policy_kwargs,
             warmup=sim.warmup,
             check_invariants=sim.check_invariants,
-            checkpoint_every=int(dur["checkpoint_every"]),
-            fsync=str(dur["fsync"]),
-            max_segment_bytes=int(dur["max_segment_bytes"]),
+            checkpoint_every=dur.checkpoint_every,
+            fsync=dur.fsync,
+            max_segment_bytes=dur.max_segment_bytes,
             crash=crash,
             fault=fault,
             debug_ring=debug_ring,
@@ -410,92 +274,28 @@ class CoordinatorState:
             **({} if slo is None else {"slo": slo}),
         )
         workload = Trace.load(run_dir / "workload.jsonl")
-
         arrivals_path = run_dir / "arrivals.jsonl"
         arrivals, intact = _load_arrivals(arrivals_path)
         persisted = list(arrivals)
-
-        ckpt = latest_checkpoint(run_dir / "checkpoints")
-        frames, _torn = read_journal_dir(run_dir / "journal")
-        if ckpt is not None:
-            start_job = ckpt.job
-            restored: dict[str, Any] | None = ckpt.state
-            trace_offset = ckpt.trace_offset
-            start_seq = ckpt.trace_seq
-        else:
-            start_job = 0
-            restored = None
-            trace_offset = 0
-            start_seq = 0
-        if start_job > len(persisted):
-            raise DurabilityError(
-                f"checkpoint covers {start_job} jobs but the arrivals record "
-                f"holds only {len(persisted)}"
-            )
-        # frames already subsumed by the checkpoint are dropped; so are
-        # frames whose arrival line did not survive (per-job commit order
-        # makes that power-loss-only, and such a job was never acknowledged)
-        tail = [f for f in frames if start_job <= f.job < len(persisted)]
-
-        trace_path = run_dir / "trace.jsonl"
-        existing = trace_path.read_bytes() if trace_path.exists() else b""
-        if len(existing) < trace_offset:
-            raise DurabilityError(
-                f"{trace_path} holds {len(existing)} bytes but the checkpoint "
-                f"records {trace_offset}"
-            )
-        while tail and int(tail[-1].payload["trace_offset"]) > len(existing):
-            tail.pop()
-        oracle = b""
-        if tail:
-            oracle = existing[trace_offset : int(tail[-1].payload["trace_offset"])]
-        if not trace_path.exists():
-            trace_path.touch()
-        with open(trace_path, "rb+") as fh:
-            fh.truncate(trace_offset)
-            fh.flush()
-            os.fsync(fh.fileno())
-        for segment in list_segments(run_dir / "journal"):
-            segment.unlink()
-        fsync_dir(run_dir / "journal")
-
-        state = cls(
-            config,
+        engine = JournaledCoordinator.recover(
+            config.simulation,
+            config.durability,
             workload,
-            restored=restored,
-            start_seq=start_seq,
-            next_job=start_job,
-            tail_frames=tail,
-            oracle=oracle,
+            arrivals=len(persisted),
         )
-        # re-execute the persisted arrivals past the checkpoint; the first
-        # len(tail) must reproduce their journal frames byte-for-byte
-        for job_index in range(start_job, len(persisted)):
-            state._service(job_index, persisted[job_index])
-            state.next_job = job_index + 1
-        if state._replayed < len(tail):
-            raise ReplayDivergenceError(
-                f"journal holds {len(tail)} frames past job {start_job} but "
-                f"re-execution produced only {state._replayed}"
-            )
-        if verify:
-            from repro.telemetry.forensics import reconstruct, verify_against_cache
-
-            state._jsonl.flush()
-            report = reconstruct(str(trace_path), capacity=config.cache_size)
-            report.raise_if_violations()
-            mismatches = verify_against_cache(report, state.cache)
-            if mismatches:
-                raise ReplayDivergenceError(
-                    "stitched trace disagrees with the live cache: "
-                    + "; ".join(mismatches)
-                )
+        state = cls(config, engine)
+        try:
+            for request in persisted[engine.next_job :]:
+                state._service(request)
+            engine.end_recovery(verify=verify)
+        except BaseException:
+            state.close()
+            raise
         with open(arrivals_path, "rb+") as trunc:
             trunc.truncate(intact)
             trunc.flush()
             os.fsync(trunc.fileno())
-        fh = open(arrivals_path, "ab")
-        state._arrivals = fh
+        state._arrivals = open(arrivals_path, "ab")
         return state
 
     # ------------------------------------------------------------------ #
@@ -518,16 +318,13 @@ class CoordinatorState:
             raise UnknownFileError(
                 f"job references files outside the catalog: {unknown}"
             )
-        job_index = self.next_job
         request = Request(
-            request_id=job_index,
+            request_id=self.engine.next_job,
             bundle=FileBundle(files),
             priority=float(priority),
         )
         self._append_arrival(request)
-        result = self._service(job_index, request)
-        self.next_job = job_index + 1
-        return result
+        return self._service(request)
 
     def _append_arrival(self, request: Request) -> None:
         if self._arrivals is None:
@@ -548,45 +345,9 @@ class CoordinatorState:
         if self._strict:
             os.fsync(self._arrivals.fileno())
 
-    def _service(self, job_index: int, request: Request) -> JobResult:
+    def _service(self, request: Request) -> JobResult:
         t0 = time.perf_counter()
-        self._sink.capture = []
-        trace_start = self._jsonl.bytes_written
-        outcome = self.core.submit(job_index, request)
-        if self._strict:
-            self._jsonl.flush(sync=True)
-        trace_offset = self._jsonl.bytes_written
-        seq = self.recorder.events_emitted
-        frame = {
-            "job": job_index,
-            "request_id": request.request_id,
-            "trace_start": trace_start,
-            "trace_offset": trace_offset,
-            "seq": seq,
-            "arrivals_consumed": job_index + 1,
-        }
-        encoded = (
-            f'{{"job":{job_index},"request_id":{request.request_id},'
-            f'"trace_start":{trace_start},"trace_offset":{trace_offset},'
-            f'"seq":{seq},"arrivals_consumed":{job_index + 1}}}'
-        ).encode("ascii")
-        captured = self._sink.capture or []
-        self._sink.capture = None
-        if self._replayed < len(self._tail_frames):
-            _check_frame(
-                self._tail_frames[self._replayed],
-                frame,
-                actual_bytes="".join(line + "\n" for line in captured).encode("utf-8"),
-                oracle=self._oracle,
-                oracle_base=self._oracle_base,
-            )
-            self._replayed += 1
-        with self.recorder.span("journal.commit"):
-            self.journal.append(frame, encoded=encoded)
-            if self._crash is not None:
-                self._crash.tick(torn_hook=lambda: _append_torn_frame(self.journal))
-            if (job_index + 1) % self.config.checkpoint_every == 0:
-                self._checkpoint(job_index + 1)
+        outcome, lines = self.engine.submit(request)
         retries = 0
         stall_s = 0.0
         if self._faults is not None:
@@ -611,29 +372,10 @@ class CoordinatorState:
         )
         return JobResult(
             outcome,
-            [json.loads(line) for line in captured],
+            [json.loads(line) for line in lines],
             retries,
-            request_id_for_job(job_index),
+            request_id_for_job(outcome.job),
         )
-
-    def _checkpoint(self, job: int) -> None:
-        self._jsonl.flush(sync=self._strict)
-        write_checkpoint(
-            self.run_dir / "checkpoints",
-            job=job,
-            arrivals_consumed=job,
-            trace_offset=self._jsonl.bytes_written,
-            trace_seq=self.recorder.events_emitted,
-            state={
-                "cache": self.cache.export_state(),
-                "policy": self.policy.export_state(),
-                "metrics": self.metrics.export_state(),
-                "queue": None,
-            },
-            fsync=self._strict,
-        )
-        self.journal.truncate_to_checkpoint()
-        self.checkpoints_written += 1
 
     # ------------------------------------------------------------------ #
     # read-side payloads
@@ -656,7 +398,7 @@ class CoordinatorState:
         return {
             "cache_size": cfg.cache_size,
             "policy": cfg.policy,
-            "policy_name": self.policy.name,
+            "policy_name": self.engine.policy.name,
             "policy_kwargs": {
                 k: getattr(v, "value", v) for k, v in cfg.policy_kwargs.items()
             },
@@ -673,7 +415,7 @@ class CoordinatorState:
         """The ``GET /healthz`` body."""
         return {
             "status": "ok",
-            "policy": self.policy.name,
+            "policy": self.engine.policy.name,
             "jobs": self.next_job,
             "resumed_from_job": self.resumed_from_job,
             "checkpoints_written": self.checkpoints_written,
@@ -718,9 +460,7 @@ class CoordinatorState:
         if self._closed:
             return
         self._closed = True
-        self.journal.close()
-        self._jsonl.flush(sync=self._strict)
-        self._sink.close()
+        self.engine.close()
         if self._profile_fh is not None and not self._profile_fh.closed:
             self._profile_fh.close()
         if self._arrivals is not None and not self._arrivals.closed:

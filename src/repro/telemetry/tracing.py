@@ -2,8 +2,8 @@
 
 The coordinator service answers "where did this request's time go?"
 with one :class:`RequestTrace` per HTTP request: a tree of named spans
-(``http.request`` at the root, ``queue.wait`` / ``core.plan`` /
-``cache.admit`` / ``cache.evict`` / ``srm.stage`` below it) whose
+(``http.request`` at the root, ``core.plan`` / ``cache.admit`` /
+``cache.evict`` / ``srm.stage`` / ``journal.commit`` below it) whose
 timings come from the host clock.  Finished traces land in the
 :class:`RequestTracer`'s bounded ring (plus a second ring of requests
 over a slow threshold) and, optionally, a JSONL *profile stream* —
@@ -166,7 +166,6 @@ class RequestTrace:
         """The client-correlatable server-side latency split (seconds)."""
         return {
             "server_s": self.duration_s,
-            "queue_wait_s": self.span_seconds("queue.wait"),
             "plan_s": self.span_seconds("core.plan"),
             "apply_s": (
                 self.span_seconds("cache.admit")

@@ -7,9 +7,12 @@ sweep here exercises that contract for **every** registered policy,
 with crash points on both sides of a checkpoint boundary and in both
 clean (``raise``) and half-written-frame (``torn``) modes; separate
 cases cover a real SIGKILL through the CLI, queue mode, a lost trace
-tail, tampered journals and manifest collision.
+tail, tampered journals and manifest collision.  The recovery edge
+cases run against both front ends of the durable engine: the batch
+runner and the coordinator service.
 """
 
+import itertools
 import os
 import signal
 import subprocess
@@ -35,6 +38,7 @@ from repro.errors import (
     ReplayDivergenceError,
 )
 from repro.faults.crash import CrashSpec
+from repro.service import CoordinatorState, ServiceConfig
 from repro.sim.simulator import SimulationConfig
 from repro.types import MB
 from repro.workload.generator import WorkloadSpec, generate_trace
@@ -46,6 +50,9 @@ CKPT_EVERY = 40
 
 #: pre-checkpoint and just-past-checkpoint commit indices
 CRASH_POINTS = ((10, "raise"), (CKPT_EVERY + 5, "torn"))
+
+#: the durable engine's two front ends
+FRONT_ENDS = ("batch", "service")
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +102,64 @@ def _assert_exact(reference, resumed):
     assert resumed.result.metrics == reference.result.metrics
 
 
+def _submit(state, requests):
+    for request in requests:
+        state.submit(sorted(request.bundle.files), priority=request.priority)
+
+
+def _durable(front, trace, run_dir, *, policy, fsync="rotate", crash=None):
+    """Run all of ``trace`` through one front end; returns the trace bytes
+    and final metrics (an injected crash propagates)."""
+    if front == "batch":
+        report = run_durable(
+            trace,
+            SimulationConfig(cache_size=CACHE, policy=policy),
+            DurabilityConfig(
+                run_dir=run_dir,
+                checkpoint_every=CKPT_EVERY,
+                fsync=fsync,
+                crash=crash,
+            ),
+        )
+        return report.trace_path.read_bytes(), report.result.metrics
+    workload = run_dir.with_name(run_dir.name + "-workload.jsonl")
+    trace.dump(workload)
+    config = ServiceConfig(
+        workload=workload,
+        cache_size=CACHE,
+        run_dir=run_dir,
+        policy=policy,
+        checkpoint_every=CKPT_EVERY,
+        fsync=fsync,
+        crash=crash,
+    )
+    with CoordinatorState.create(config) as state:
+        _submit(state, trace)
+    return (run_dir / "trace.jsonl").read_bytes(), state.metrics.snapshot()
+
+
+def _resume(front, trace, run_dir):
+    """Resume a crashed run through the front end that made it and finish
+    it; returns the trace bytes, final metrics and journal-verified jobs."""
+    if front == "batch":
+        report = resume_run(run_dir)
+        trace_bytes = report.trace_path.read_bytes()
+        return trace_bytes, report.result.metrics, report.replayed_jobs
+    with CoordinatorState.resume(run_dir) as state:
+        replayed = state.engine.replayed
+        _submit(state, itertools.islice(trace, state.next_job, None))
+    trace_bytes = (run_dir / "trace.jsonl").read_bytes()
+    return trace_bytes, state.metrics.snapshot(), replayed
+
+
+def _files(run_dir):
+    return {
+        path.relative_to(run_dir).as_posix(): path.read_bytes()
+        for path in sorted(run_dir.rglob("*"))
+        if path.is_file()
+    }
+
+
 class TestKillSweepAllPolicies:
     @pytest.mark.parametrize("policy", sorted(POLICY_REGISTRY))
     def test_resume_is_byte_identical(self, trace, tmp_path, policy):
@@ -122,56 +187,44 @@ class TestRecoveryModes:
         )
         _assert_exact(reference, resumed)
 
-    def test_fsync_always_mode(self, trace, tmp_path):
-        config = SimulationConfig(cache_size=CACHE, policy="landlord")
-        reference = run_durable(
-            trace,
-            config,
-            DurabilityConfig(run_dir=tmp_path / "ref", checkpoint_every=CKPT_EVERY),
-        )
+    @pytest.mark.parametrize("front", FRONT_ENDS)
+    def test_fsync_always_mode(self, trace, tmp_path, front):
+        reference = _durable(front, trace, tmp_path / "ref", policy="landlord")
         crashed_dir = tmp_path / "crashed"
         with pytest.raises(InjectedCrashError):
-            run_durable(
+            _durable(
+                front,
                 trace,
-                config,
-                DurabilityConfig(
-                    run_dir=crashed_dir,
-                    checkpoint_every=CKPT_EVERY,
-                    fsync="always",
-                    crash=CrashSpec(at_mutation=CKPT_EVERY + 5, mode="torn"),
-                ),
+                crashed_dir,
+                policy="landlord",
+                fsync="always",
+                crash=CrashSpec(at_mutation=CKPT_EVERY + 5, mode="torn"),
             )
-        resumed = resume_run(crashed_dir)
+        trace_bytes, metrics, replayed = _resume(front, trace, crashed_dir)
         # strict mode journals every commit: the replay tail is verified
         # frame-by-frame, not just re-executed
-        assert resumed.replayed_jobs > 0
-        _assert_exact(reference, resumed)
+        assert replayed > 0
+        assert (trace_bytes, metrics) == reference
 
-    def test_lost_trace_tail_is_reexecuted(self, trace, tmp_path):
+    @pytest.mark.parametrize("front", FRONT_ENDS)
+    def test_lost_trace_tail_is_reexecuted(self, trace, tmp_path, front):
         """Chop buffered trace bytes a kill would have lost; frames whose
         evidence vanished must be dropped, not trusted."""
-        config = SimulationConfig(cache_size=CACHE, policy="optbundle")
-        reference = run_durable(
-            trace,
-            config,
-            DurabilityConfig(run_dir=tmp_path / "ref", checkpoint_every=CKPT_EVERY),
-        )
+        reference = _durable(front, trace, tmp_path / "ref", policy="optbundle")
         crashed_dir = tmp_path / "crashed"
         with pytest.raises(InjectedCrashError):
-            run_durable(
+            _durable(
+                front,
                 trace,
-                config,
-                DurabilityConfig(
-                    run_dir=crashed_dir,
-                    checkpoint_every=CKPT_EVERY,
-                    crash=CrashSpec(at_mutation=CKPT_EVERY + 9, mode="torn"),
-                ),
+                crashed_dir,
+                policy="optbundle",
+                crash=CrashSpec(at_mutation=CKPT_EVERY + 9, mode="torn"),
             )
         trace_file = crashed_dir / "trace.jsonl"
         data = trace_file.read_bytes()
         trace_file.write_bytes(data[:-200])
-        resumed = resume_run(crashed_dir)
-        _assert_exact(reference, resumed)
+        trace_bytes, metrics, _replayed = _resume(front, trace, crashed_dir)
+        assert (trace_bytes, metrics) == reference
 
 
 class TestCorruptionAndMisuse:
@@ -182,19 +235,17 @@ class TestCorruptionAndMisuse:
         with pytest.raises(DurabilityError):
             run_durable(trace, config, durability)
 
-    def test_tampered_journal_frame_diverges(self, trace, tmp_path):
-        config = SimulationConfig(cache_size=CACHE, policy="optbundle")
+    @pytest.mark.parametrize("front", FRONT_ENDS)
+    def test_tampered_journal_frame_diverges(self, trace, tmp_path, front):
         crashed_dir = tmp_path / "crashed"
         with pytest.raises(InjectedCrashError):
-            run_durable(
+            _durable(
+                front,
                 trace,
-                config,
-                DurabilityConfig(
-                    run_dir=crashed_dir,
-                    checkpoint_every=CKPT_EVERY,
-                    fsync="always",
-                    crash=CrashSpec(at_mutation=CKPT_EVERY + 5, mode="raise"),
-                ),
+                crashed_dir,
+                policy="optbundle",
+                fsync="always",
+                crash=CrashSpec(at_mutation=CKPT_EVERY + 5, mode="raise"),
             )
         journal_dir = crashed_dir / "journal"
         frames, torn = read_journal_dir(journal_dir)
@@ -210,7 +261,33 @@ class TestCorruptionAndMisuse:
             blob += _HEADER.pack(len(data), zlib.crc32(data)) + data
         (journal_dir / "wal-000000.log").write_bytes(bytes(blob))
         with pytest.raises(ReplayDivergenceError):
-            resume_run(crashed_dir)
+            _resume(front, trace, crashed_dir)
+
+    def test_resume_refuses_service_run_untouched(self, trace, tmp_path):
+        """The batch resume must refuse a service run directory before it
+        touches a file (it would otherwise re-execute the whole workload
+        file as if clients had submitted it)."""
+        run_dir = tmp_path / "srv"
+        workload = tmp_path / "workload.jsonl"
+        trace.dump(workload)
+        config = ServiceConfig(
+            workload=workload,
+            cache_size=CACHE,
+            run_dir=run_dir,
+            policy="landlord",
+            checkpoint_every=CKPT_EVERY,
+        )
+        with CoordinatorState.create(config) as state:
+            _submit(state, itertools.islice(itertools.cycle(trace), 250))
+        before = _files(run_dir)
+        assert {"trace.jsonl", "arrivals.jsonl"} <= set(before)
+        assert any(name.startswith("journal/") for name in before)
+        assert any(name.startswith("checkpoints/") for name in before)
+        with pytest.raises(DurabilityError, match="not a batch run"):
+            resume_run(run_dir)
+        assert _files(run_dir) == before
+        assert main(["resume", str(run_dir)]) == 2
+        assert _files(run_dir) == before
 
 
 class TestCliSigkill:

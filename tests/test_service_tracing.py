@@ -134,7 +134,6 @@ class TestRequestTrace:
         rt = RequestTrace("req-00000002", route="/v1/jobs")
         t0 = rt.root.start_s
         for name, start, end in [
-            ("queue.wait", 0.000, 0.010),
             ("core.plan", 0.010, 0.030),
             ("cache.admit", 0.030, 0.040),
             ("srm.stage", 0.040, 0.045),
@@ -144,7 +143,6 @@ class TestRequestTrace:
             rt.end_span(node, t0 + end)
         rt.root.end_s = t0 + 0.050
         split = rt.breakdown()
-        assert split["queue_wait_s"] == pytest.approx(0.010)
         assert split["plan_s"] == pytest.approx(0.020)
         assert split["apply_s"] == pytest.approx(0.020)
         assert split["server_s"] == pytest.approx(0.050)
@@ -260,7 +258,6 @@ class TestDebugEndpoints:
                 timing = doc["timing_ms"]
                 assert set(timing) == {
                     "server_ms",
-                    "queue_wait_ms",
                     "plan_ms",
                     "apply_ms",
                 }
@@ -279,7 +276,7 @@ class TestDebugEndpoints:
                 assert entry["client_id"] == f"cli-{i}"
                 assert entry["route"] == "/v1/jobs"
                 names = {c["name"] for c in entry["spans"]["children"]}
-                assert {"queue.wait", "core.plan", "journal.commit"} <= names
+                assert {"core.plan", "journal.commit"} <= names
             # read-side requests trace too, under their own id space
             assert any(
                 r["request_id"].startswith("http-")
@@ -497,7 +494,6 @@ class TestLoadgenBreakdown:
         assert report.jobs == 20 and report.errors == 0
         assert report.server_mean_ms > 0.0
         assert report.server_p50_ms <= report.server_p99_ms
-        assert report.queue_wait_mean_ms >= 0.0
         assert report.plan_mean_ms >= 0.0
         assert report.apply_mean_ms >= 0.0
         assert report.net_overhead_mean_ms >= 0.0
