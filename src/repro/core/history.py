@@ -25,6 +25,20 @@ lets the candidate set be restricted three ways:
   :meth:`RequestHistory.candidates` at O(|supported|) per query instead of
   an O(history) filter.
 
+The candidate-holder index
+--------------------------
+Besides the global file → entry index (every entry ever recorded, which
+drives support updates), the history keeps the *candidate-holder* index:
+file → ids of the **current candidates** whose bundle holds the file.  It
+changes only where an entry joins or leaves the candidate set — where it
+enters or leaves ``_supported`` (CACHE_SUPPORTED), at :meth:`record` of a
+new type (FULL), or when a type's window count goes 0 → 1 or 1 → 0
+(WINDOW) — about once per arrival, O(|bundle|) each; :meth:`restore`
+rebuilds it.  The greedy reads it to skip every file no other candidate
+holds.  A holder list's order follows the caller's load order (a
+frozenset's); :mod:`repro.core.selection_state` explains why that order
+cannot reach a plan.
+
 Entries carry a stable integer id (``eid``, assigned in first-seen order)
 so downstream incremental structures — notably
 :class:`repro.core.selection_state.SelectionState` — can index candidates
@@ -37,7 +51,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from repro.core.bundle import FileBundle
 from repro.errors import ConfigError
@@ -114,12 +128,18 @@ class RequestHistory:
         # incremental-structure subscribers (see add_listener)
         self._listeners: list = []
 
+        # file -> eids of the current candidates holding it (module docstring)
+        self._holders: dict[FileId, list[int]] = {}
+
         # CACHE_SUPPORTED bookkeeping
         self._resident: set[FileId] = set()
-        self._missing: dict[FileBundle, int] = {}
-        # eid -> entry for every entry with zero missing files; sorting the
-        # (integer) keys restores first-seen order without scanning history
+        # eid -> number of the entry's files not resident
+        self._missing: list[int] = []
+        # eid -> entry for every entry with zero missing files (kept only
+        # where it is the candidate set); sorting the (integer) keys
+        # restores first-seen order without scanning history
         self._supported: dict[int, HistoryEntry] = {}
+        self._track_support = mode is TruncationMode.CACHE_SUPPORTED
 
         # WINDOW bookkeeping
         self._window_arrivals: deque[FileBundle] = deque()
@@ -143,17 +163,9 @@ class RequestHistory:
                 bundle=bundle, eid=len(self._entries), first_seen=self._tick
             )
             entry._last_decay_tick = self._tick
-            self._entries[bundle] = entry
-            for f in bundle:
-                d = self._degree.get(f, 0) + 1
-                self._degree[f] = d
-                if d > self._max_degree:
-                    self._max_degree = d
-                self._by_file.setdefault(f, []).append(entry)
-            missing = sum(1 for f in bundle if f not in self._resident)
-            self._missing[bundle] = missing
-            if missing == 0:
-                self._supported[entry.eid] = entry
+            self._register(entry, self._resident)
+            if self._mode is TruncationMode.FULL:
+                self._enter(entry)
             for listener in self._listeners:
                 listener.on_entry_added(entry)
         self._apply_decay(entry)
@@ -163,7 +175,10 @@ class RequestHistory:
 
         if self._mode is TruncationMode.WINDOW:
             self._window_arrivals.append(bundle)
-            self._window_counts[bundle] = self._window_counts.get(bundle, 0) + 1
+            seen = self._window_counts.get(bundle, 0)
+            self._window_counts[bundle] = seen + 1
+            if not seen:
+                self._enter(entry)
             assert self._window is not None
             while len(self._window_arrivals) > self._window:
                 old = self._window_arrivals.popleft()
@@ -172,7 +187,48 @@ class RequestHistory:
                     self._window_counts[old] = remaining
                 else:
                     del self._window_counts[old]
+                    self._leave(self._entries[old])
         return entry
+
+    def _register(self, entry: HistoryEntry, resident: AbstractSet[FileId]) -> None:
+        """Index a new entry: degrees, the global file index, support."""
+        bundle = entry.bundle
+        self._entries[bundle] = entry
+        by_file = self._by_file
+        degree = self._degree
+        for f in bundle:
+            d = degree.get(f, 0) + 1
+            degree[f] = d
+            if d > self._max_degree:
+                self._max_degree = d
+            by_file.setdefault(f, []).append(entry)
+        missing = sum(1 for f in bundle if f not in resident)
+        self._missing.append(missing)
+        if missing == 0 and self._track_support:
+            self._supported[entry.eid] = entry
+            self._enter(entry)
+
+    def _enter(self, entry: HistoryEntry) -> None:
+        """``entry`` joined the candidate set: add it to the holder index."""
+        eid = entry.eid
+        holders = self._holders
+        for f in entry.bundle:
+            held = holders.get(f)
+            if held is None:
+                holders[f] = [eid]
+            else:
+                held.append(eid)
+
+    def _leave(self, entry: HistoryEntry) -> None:
+        """``entry`` left the candidate set: drop it from the holder index."""
+        eid = entry.eid
+        holders = self._holders
+        for f in entry.bundle:
+            held = holders[f]
+            if len(held) == 1:
+                del holders[f]
+            else:
+                held.remove(eid)
 
     def _apply_decay(self, entry: HistoryEntry) -> None:
         if self._decay >= 1.0:
@@ -190,29 +246,33 @@ class RequestHistory:
         if file_id in self._resident:
             return
         self._resident.add(file_id)
+        missing = self._missing
         for entry in self._by_file.get(file_id, ()):
-            bundle = entry.bundle
-            left = self._missing[bundle] - 1
-            self._missing[bundle] = left
-            if left == 0:
-                self._supported[entry.eid] = entry
+            eid = entry.eid
+            left = missing[eid] - 1
+            missing[eid] = left
+            if left == 0 and self._track_support:
+                self._supported[eid] = entry
+                self._enter(entry)
 
     def on_file_evicted(self, file_id: FileId) -> None:
         """Tell the history a file left the cache."""
         if file_id not in self._resident:
             return
         self._resident.discard(file_id)
+        missing = self._missing
         for entry in self._by_file.get(file_id, ()):
-            bundle = entry.bundle
-            if self._missing[bundle] == 0:
-                del self._supported[entry.eid]
-            self._missing[bundle] += 1
+            eid = entry.eid
+            if missing[eid] == 0 and self._track_support:
+                del self._supported[eid]
+                self._leave(entry)
+            missing[eid] += 1
 
     def sync_resident(self, resident: Iterable[FileId]) -> None:
         """Replace the resident view wholesale (used at (re)initialisation).
 
-        Sorted so the `_supported` index is rebuilt in a reproducible
-        insertion order regardless of the set hash seed.
+        Sorted so the `_supported` and holder indexes are rebuilt in a
+        reproducible insertion order regardless of the set hash seed.
         """
         target = set(resident)
         for f in sorted(self._resident - target):
@@ -286,6 +346,18 @@ class RequestHistory:
         """All entries of the global history (no truncation)."""
         return list(self._entries.values())
 
+    def containing(self, file_id: FileId) -> list[HistoryEntry]:
+        """Every entry holding ``file_id``, in ``eid`` order (live; read only)."""
+        return self._by_file.get(file_id, [])
+
+    def candidate_holders(self) -> dict[FileId, list[int]]:
+        """File → eids of the current candidates holding it (live; read only).
+
+        Equals ``{f: [e.eid for e in candidates() if f in e.bundle]}`` over
+        the files some candidate holds, up to list order.
+        """
+        return self._holders
+
     def candidates(self) -> list[HistoryEntry]:
         """Entries eligible for ``OptCacheSelect`` under the truncation mode.
 
@@ -295,23 +367,26 @@ class RequestHistory:
         ``_supported`` index in first-seen order — O(|supported|), never a
         filter over the whole history.
         """
-        if self._mode is TruncationMode.FULL:
-            result = list(self._entries.values())
-        elif self._mode is TruncationMode.WINDOW:
-            result = [self._entries[b] for b in self._window_counts]
-        else:
-            result = [self._supported[eid] for eid in sorted(self._supported)]
+        result = self._candidate_entries()
         if self._decay < 1.0:
             for entry in result:
                 self._apply_decay(entry)
         return result
 
+    def _candidate_entries(self) -> list[HistoryEntry]:
+        """The candidate entries in :meth:`candidates` order, undecayed."""
+        if self._mode is TruncationMode.FULL:
+            return list(self._entries.values())
+        if self._mode is TruncationMode.WINDOW:
+            return [self._entries[b] for b in self._window_counts]
+        return [self._supported[eid] for eid in sorted(self._supported)]
+
     def supported(self, bundle: FileBundle) -> bool:
         """Whether every file of a known bundle is currently resident."""
-        missing = self._missing.get(bundle)
-        if missing is None:
+        entry = self._entries.get(bundle)
+        if entry is None:
             return bundle.issubset(self._resident)
-        return missing == 0
+        return self._missing[entry.eid] == 0
 
     def resident_view(self) -> frozenset[FileId]:
         """The resident set as last synchronised (debug/verification aid)."""
@@ -325,8 +400,9 @@ class RequestHistory:
 
         Only primary state is serialized: entries in ``eid`` order (their
         dict insertion order), the arrival tick, the resident view and the
-        window structures.  Degrees, the per-file index and the supported
-        index are derived and rebuilt on :meth:`restore`.  The window
+        window structures.  Degrees, the per-file index, the supported
+        index and the candidate-holder index are derived and rebuilt on
+        :meth:`restore`.  The window
         *count* mapping is exported with its key order because
         :meth:`candidates` iterates it — the order is not derivable from
         the arrivals deque.
@@ -375,21 +451,14 @@ class RequestHistory:
                 last_seen=int(rec["last_seen"]),
             )
             entry._last_decay_tick = int(rec["decay_tick"])
-            hist._entries[bundle] = entry
-            for f in bundle:
-                d = hist._degree.get(f, 0) + 1
-                hist._degree[f] = d
-                if d > hist._max_degree:
-                    hist._max_degree = d
-                hist._by_file.setdefault(f, []).append(entry)
-            missing = sum(1 for f in bundle if f not in resident)
-            hist._missing[bundle] = missing
-            if missing == 0:
-                hist._supported[entry.eid] = entry
+            hist._register(entry, resident)
         hist._resident = resident
         hist._tick = int(state["tick"])
         for files in state["window_arrivals"]:
             hist._window_arrivals.append(FileBundle(files))
         for files, n in state["window_counts"]:
             hist._window_counts[FileBundle(files)] = int(n)
+        if not hist._track_support:  # _register already indexed supported ones
+            for entry in hist._candidate_entries():
+                hist._enter(entry)
         return hist

@@ -225,12 +225,14 @@ def _finish(
     safeguard: bool = True,
     free: frozenset[FileId] = frozenset(),
     single: "tuple[int, float] | None | object" = _UNSET,
+    used: SizeBytes | None = None,
 ) -> CacheSelection:
     """Apply Step 3 (single-request safeguard) and assemble the result.
 
     ``used_bytes`` counts only bytes charged against the budget, i.e. files
     outside the ``free`` set.  ``single`` lets callers pass a precomputed
-    best-single-request candidate to avoid a second scan.
+    best-single-request candidate to avoid a second scan, and ``used`` the
+    greedy set's byte count when the caller already tracked it exactly.
     """
     total = sum(inst.values[i] for i in chosen)
     if not safeguard:
@@ -253,7 +255,8 @@ def _finish(
     files: set[FileId] = set()
     for i in chosen:
         files.update(inst.bundles[i].files)
-    used = sum(inst.sizes[f] for f in files if f not in free)
+    if used is None:
+        used = sum(inst.sizes[f] for f in files if f not in free)
     return CacheSelection(
         selected=tuple(chosen),
         bundles=tuple(inst.bundles[i] for i in chosen),
@@ -398,7 +401,17 @@ def _select_refined(
             select(i)
         else:
             active[i] = False  # skipped: insufficient space (Step 2)
-    return _finish(inst, chosen, safeguard=safeguard, free=free, single=single)
+    # each selection charged exactly its not-yet-charged bytes (integer
+    # sizes sum exactly in float below 2**53), so the budget left gives
+    # the union's bytes without a second pass
+    return _finish(
+        inst,
+        chosen,
+        safeguard=safeguard,
+        free=free,
+        single=single,
+        used=int(inst.budget - remaining),
+    )
 
 
 def opt_cache_select(

@@ -112,10 +112,10 @@ class OptFileBundlePlanner:
         instead of only what is needed for space.
     incremental:
         Keep a persistent :class:`~repro.core.selection_state.SelectionState`
-        (inverted file→candidate index, cached adjusted sizes) updated as
-        the history evolves, instead of rebuilding the selection inputs
-        from scratch on every arrival (default True; produces bit-identical
-        plans).  Only effective with ``refine=True`` and
+        (cached adjusted sizes, read beside the history's candidate-holder
+        index) updated as the history evolves, instead of rebuilding the
+        selection inputs from scratch on every arrival (default True;
+        produces bit-identical plans).  Only effective with ``refine=True`` and
         ``degree_blind=False`` — the ablation paths fall back to the
         rebuild implementation.
     """
@@ -241,10 +241,11 @@ class OptFileBundlePlanner:
     ) -> frozenset[FileId]:
         unselected = resident - keep - pinned
         sizes = self._sizes
-        used = sum(sizes[f] for f in resident)
-        need = sum(sizes[f] for f in missing) + sum(sizes[f] for f in prefetch)
+        size = sizes.__getitem__  # map() sums in C: ~170 residents per call
+        used = sum(map(size, resident))
+        need = sum(map(size, missing)) + sum(map(size, prefetch))
         if self._eager:
-            left = used - sum(sizes[f] for f in unselected)
+            left = used - sum(map(size, unselected))
             if left + need > self._capacity:
                 raise CacheCapacityError(left + need - self._capacity, 0)
             return frozenset(unselected)

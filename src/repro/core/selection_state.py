@@ -11,14 +11,28 @@ over :meth:`FBCInstance.from_history`) rebuilds, on *every* arrival:
 * the per-candidate residual adjusted/real size arrays,
 
 all of which change only slowly between arrivals.  :class:`SelectionState`
-keeps those structures alive across plans and updates them incrementally:
+keeps the degree-derived part alive across plans — adjusted sizes and each
+bundle's base sizes — refreshing exactly the bundles whose files' degrees
+grew when :meth:`RequestHistory.add_listener` reports a new request type.
+Candidate membership, values and decay are read per plan from the
+history.
 
-* it subscribes to :meth:`RequestHistory.add_listener`, so a *new* request
-  type appends to the inverted index and refreshes the adjusted sizes of
-  exactly the files whose degree changed (degrees only ever grow);
-* candidate membership (support/window changes, value bumps, decay) is read
-  per plan from the history's own incremental indexes — O(|candidates|),
-  never O(history).
+Where the file → candidate index lives
+--------------------------------------
+The history keeps it: :meth:`RequestHistory.candidate_holders` maps each
+file to the ids of the *current candidates* holding it, updated where an
+entry joins or leaves the candidate set.  At the system's operating point
+(about 15 candidates × 16 files per plan) a file has about one candidate
+holder, so the greedy skips, in O(1), every file of a selected bundle that
+no other candidate holds: such a file changes no other candidate's score,
+and no later candidate can hold it, so it need not join the selected set
+either.  Per-file work is left only for the few shared files.
+
+The order of a holder list follows when its entries joined the candidate
+set, which can depend on the hash seed of the caller's sets.  It cannot
+change a plan: each holder's residual changes once per shared file (files
+are visited in bundle order, so every float is the same), and heap pops
+depend only on ``(-score, position)``.
 
 Bit-for-bit equivalence with the from-scratch path
 --------------------------------------------------
@@ -66,9 +80,9 @@ class SelectionState:
 
     Notes
     -----
-    The state only caches *degree-derived* quantities (adjusted sizes,
-    per-bundle base sizes, the inverted index).  Values, decay and
-    candidate membership are read from the history per call, so
+    The state only caches *degree-derived* quantities (adjusted sizes and
+    per-bundle base sizes).  Values, decay, candidate membership and the
+    candidate-holder index are read from the history per call, so
     fault-injected eviction notifications and window churn need no
     dedicated synchronisation.
     """
@@ -79,8 +93,6 @@ class SelectionState:
         self._recorder = current_recorder()
         # s(f) / d(f) under the *global* degrees; refreshed on degree change
         self._adj_size: dict[FileId, float] = {}
-        # file -> eids of entries containing it, in eid (first-seen) order
-        self._containing: dict[FileId, list[int]] = {}
         # per-eid cached quantities, indexed by entry id
         self._bundles: list = []
         self._base_adj: list[float] = []
@@ -99,13 +111,16 @@ class SelectionState:
             )
         bundle = entry.bundle
         sizes = self._sizes
-        degree = self._history.degree
+        history = self._history
+        degree = history.degree
         stale: set[int] = set()
         for f in bundle:
             self._adj_size[f] = sizes[f] / max(1, degree(f))
-            holders = self._containing.setdefault(f, [])
-            stale.update(holders)
-            holders.append(eid)
+            # only earlier entries: a warm history's replay has not yet
+            # registered the later ones it already indexes
+            for other in history.containing(f):
+                if other.eid < eid:
+                    stale.add(other.eid)
         self._bundles.append(bundle)
         self._base_adj.append(0.0)
         self._base_real.append(0.0)
@@ -143,10 +158,11 @@ class SelectionState:
         """Refined greedy over the current candidates, incremental edition.
 
         Mirrors :func:`repro.core.optcacheselect._select_refined` step for
-        step, but draws ``containing``/``adj_size`` and the base residual
-        sizes from the persistent state instead of rebuilding them; only
-        candidates sharing a file with ``free`` (the arriving bundle) have
-        their residuals recomputed for this call.
+        step, but draws ``adj_size`` and the base residual sizes from the
+        persistent state and ``containing`` from the history's
+        candidate-holder index instead of rebuilding them; only candidates
+        sharing a file with ``free`` (the arriving bundle) have their
+        residuals recomputed for this call.
         """
         with self._recorder.span("optbundle.select"):
             return self._select(budget, free=free, safeguard=safeguard)
@@ -165,6 +181,7 @@ class SelectionState:
 
         sizes = self._sizes
         adj = self._adj_size
+        holders = history.candidate_holders()
         n = len(entries)
         ids = [e.eid for e in entries]
         pos = {eid: k for k, eid in enumerate(ids)}
@@ -178,10 +195,8 @@ class SelectionState:
             # repro: allow[RPR003] only inserts into the `affected` set;
             # visit order cannot influence its final contents
             for f in free:
-                for eid in self._containing.get(f, ()):
-                    k = pos.get(eid)
-                    if k is not None:
-                        affected.add(k)
+                for eid in holders.get(f, ()):
+                    affected.add(pos[eid])
             # each iteration rewrites only its own rem_* slot; sorted so
             # the (order-insensitive) maintenance is also reproducible
             for k in sorted(affected):
@@ -214,7 +229,6 @@ class SelectionState:
             (-score[k], k, score[k]) for k in range(n)
         ]
         heapq.heapify(heap)
-        containing = self._containing
 
         def select_one(k: int) -> None:
             nonlocal remaining
@@ -222,13 +236,15 @@ class SelectionState:
             active[k] = False
             remaining -= rem_real[k]
             for f in bundles[k]:
-                if f in selected_files:
+                held = holders[f]
+                # a file only k holds touches no other candidate
+                if len(held) < 2 or f in selected_files:
                     continue
                 selected_files.add(f)
                 af, sf = adj[f], sizes[f]
-                for eid in containing[f]:
-                    j = pos.get(eid)
-                    if j is None or not active[j]:
+                for eid in held:
+                    j = pos[eid]
+                    if not active[j]:
                         continue
                     rem_adj[j] -= af
                     rem_real[j] -= sf
@@ -247,5 +263,10 @@ class SelectionState:
 
         inst = FBCInstance.trusted(bundles, values, sizes, budget)
         return _finish(
-            inst, chosen, safeguard=safeguard, free=frozenset(free), single=single
+            inst,
+            chosen,
+            safeguard=safeguard,
+            free=frozenset(free),
+            single=single,
+            used=int(budget - remaining),  # exact, as in _select_refined
         )

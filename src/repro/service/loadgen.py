@@ -12,8 +12,10 @@ Two driving modes:
   configuration (server trace byte-identical to the batch simulator's).
 * **open-loop** (``rate=R``) — job *i* is released at time ``i / R``
   seconds after start regardless of completions; workers pick up
-  released jobs as they free up, so sustained overload shows up as
-  growing latency rather than reduced offered load.
+  released jobs as they free up.  A job's latency runs from its
+  scheduled release, not from the moment a worker got round to sending
+  it, so sustained overload shows up as growing latency rather than
+  reduced offered load.
 
 Jobs are paced deterministically (fixed ``1/rate`` spacing — no RNG),
 so two runs of the same trace offer the same arrival schedule.
@@ -195,7 +197,8 @@ async def _worker(
                 return
             next_index[0] = i + 1
             if release is not None:
-                delay = start_time + release[i] - loop.time()
+                due = start_time + release[i]
+                delay = due - loop.time()
                 if delay > 0:
                     await asyncio.sleep(delay)
             body = json_response(jobs[i]).body
@@ -217,7 +220,11 @@ async def _worker(
                 # shutdown race): count it and stop driving this worker
                 agg.errors += 1
                 return
-            latency = time.perf_counter() - t0
+            if release is None:
+                latency = time.perf_counter() - t0
+            else:
+                # open loop: queueing behind slower jobs counts too
+                latency = loop.time() - due
             if response.status != 200:
                 agg.errors += 1
                 continue

@@ -16,6 +16,7 @@ from repro.core.history import RequestHistory, TruncationMode
 from repro.core.optcacheselect import FBCInstance, opt_cache_select
 from repro.core.optfilebundle import OptFileBundlePlanner
 from repro.core.selection_state import SelectionState
+from repro.experiments.common import CACHE_SIZE, SCALES, bundle_trace
 
 
 def _workload(seed=7, n_files=40, n_types=30, max_files=4):
@@ -71,6 +72,51 @@ class TestDifferential:
                 inc.observe_eviction(victim)
                 reb.observe_eviction(victim)
 
+    def test_low_overlap_operating_point(self):
+        """Plans match where most candidate files have a single holder.
+
+        ``_workload`` shares almost every file; this replays a smoke-size
+        trace of the benchmark's shape (Zipf, files at most 1% of the
+        cache), about 15 supported candidates of about 15 files each, so
+        the greedy's single-holder skip decides most file visits.
+        """
+        trace = bundle_trace(
+            SCALES["smoke"],
+            popularity="zipf",
+            cache_in_requests=8.0,
+            max_file_fraction=0.01,
+            seed=3,
+        )
+        sizes = trace.catalog.as_dict()
+        inc = OptFileBundlePlanner(CACHE_SIZE, sizes, incremental=True)
+        reb = OptFileBundlePlanner(CACHE_SIZE, sizes, incremental=False)
+        rng = random.Random(17)
+        resident: set = set()
+        candidates = single = shared = 0
+        for step, request in enumerate(trace):
+            holders = inc.history.candidate_holders()
+            candidates += len(inc.history.candidates())
+            for held in holders.values():
+                if len(held) == 1:
+                    single += 1
+                else:
+                    shared += 1
+            pa = inc.plan(request.bundle, resident)
+            pb = reb.plan(request.bundle, resident)
+            assert pa == pb, f"plans diverge at step {step}"
+            inc.commit(pa)
+            reb.commit(pb)
+            resident -= pa.evict
+            resident |= pa.load | pa.prefetch
+            if step % 7 == 6 and resident:
+                victim = sorted(resident)[rng.randrange(len(resident))]
+                resident.discard(victim)
+                inc.observe_eviction(victim)
+                reb.observe_eviction(victim)
+        steps = step + 1
+        assert 10 <= candidates / steps <= 30  # the operating point
+        assert single > 2 * shared  # the skip is the common case
+
     def test_select_matches_opt_cache_select(self):
         """SelectionState.select ≡ opt_cache_select on a fresh instance."""
         rng, sizes, types = _workload(seed=11)
@@ -121,6 +167,23 @@ class TestNoRebuildOnWarmPath:
             history.record(b)
         assert len(state._bundles) == len(history)
 
+    def test_warm_attach_selects_like_rebuild(self):
+        """A state replayed onto a warm history selects like a fresh one.
+
+        The replay meets entries whose later-eid sharers the history
+        already indexes; only earlier ones may be refreshed.
+        """
+        rng, sizes, types = _workload(seed=8)
+        history = RequestHistory(TruncationMode.FULL)
+        for b in types:
+            history.record(b)
+        state = SelectionState(history, sizes)
+        budget = sum(sizes.values()) // 4
+        for b in types[:10]:
+            got = state.select(budget, free=b.files)
+            inst = FBCInstance.from_history(history, sizes, budget)
+            assert got == opt_cache_select(inst, free_files=b.files)
+
     def test_rerecording_existing_type_does_not_notify(self):
         _, sizes, types = _workload(seed=6)
         history = RequestHistory(TruncationMode.FULL)
@@ -129,6 +192,18 @@ class TestNoRebuildOnWarmPath:
         before = len(state._bundles)
         history.record(types[0])  # same type: value bump only
         assert len(state._bundles) == before
+
+
+def _holders_by_scan(history):
+    want: dict = {}
+    for entry in history.candidates():
+        for f in entry.bundle:
+            want.setdefault(f, []).append(entry.eid)
+    return {f: sorted(eids) for f, eids in want.items()}
+
+
+def _holder_index(history):
+    return {f: sorted(eids) for f, eids in history.candidate_holders().items()}
 
 
 class TestSupportedIndex:
@@ -155,6 +230,54 @@ class TestSupportedIndex:
                 e for e in history.entries() if e.bundle.issubset(resident)
             ]
             assert history.candidates() == expected  # same entries, same order
+
+    @pytest.mark.parametrize(
+        "truncation,window",
+        [
+            (TruncationMode.CACHE_SUPPORTED, None),
+            (TruncationMode.FULL, None),
+            (TruncationMode.WINDOW, 9),
+        ],
+    )
+    def test_holder_index_matches_bruteforce(self, truncation, window):
+        """The candidate-holder index equals a scan of the candidates.
+
+        Random arrivals (window churn in WINDOW mode), loads and
+        evictions; checked after every step, on the live history, on a
+        ``restore(export_state())`` copy fed the same steps from the
+        middle on, and on a planner that adopted such a copy.
+        """
+        rng, sizes, types = _workload(seed=19)
+        files = sorted(sizes)
+        history = RequestHistory(truncation, window=window)
+        copies: list[RequestHistory] = []
+        resident: set = set()
+        for step in range(300):
+            roll = rng.random()
+            if roll < 0.4:
+                bundle = types[rng.randrange(len(types))]
+                for h in [history, *copies]:
+                    h.record(bundle)
+            elif roll < 0.7:
+                f = files[rng.randrange(len(files))]
+                resident.add(f)
+                for h in [history, *copies]:
+                    h.on_file_loaded(f)
+            elif resident:
+                f = sorted(resident)[rng.randrange(len(resident))]
+                resident.discard(f)
+                for h in [history, *copies]:
+                    h.on_file_evicted(f)
+            if step == 150:
+                restored = RequestHistory.restore(history.export_state())
+                planner = OptFileBundlePlanner(sum(sizes.values()), sizes)
+                planner.adopt_history(
+                    RequestHistory.restore(history.export_state())
+                )
+                copies = [restored, planner.history]
+            want = _holders_by_scan(history)
+            for h in [history, *copies]:
+                assert _holder_index(h) == want, f"index wrong at step {step}"
 
     def test_max_degree_matches_bruteforce(self):
         rng, sizes, types = _workload(seed=13)

@@ -138,3 +138,17 @@ class TestDriving:
         )
         assert report.jobs == 20 and report.rate == 2000.0
         assert report.duration_s >= 19 / 2000.0
+
+    def test_open_loop_latency_includes_queueing(self, trace, served):
+        """Far above capacity, the last jobs wait behind all the others.
+
+        Open-loop latency runs from each job's scheduled release, so at
+        one connection the slowest job reports about the whole run, not
+        one service time.
+        """
+        report = run_loadgen(
+            trace, served.host, served.port, rate=1e6, limit=40,
+            concurrency=1,
+        )
+        assert report.jobs == 40
+        assert report.latency_max_ms >= report.duration_s * 1e3 / 2

@@ -3,8 +3,14 @@
 The telemetry contract is that the event stream is a pure function of the
 seeded simulation: no wall clock, no hash-seed-dependent iteration order,
 no worker scheduling.  These tests pin the contract end to end — rerun,
-serial vs ``jobs=N`` sweeps, and runs with fault injection on and off.
+serial vs ``jobs=N`` sweeps, runs with fault injection on and off, and
+the CLI under two hash seeds.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +97,37 @@ class TestSimulatorTraces:
             tmp_path / "b.jsonl",
         )
         assert a != b
+
+
+class TestHashSeedIdentity:
+    """One process per hash seed: in-process reruns share a seed, so only
+    this catches set or dict order leaking into a decision."""
+
+    def _simulate(self, tmp_path, hash_seed: str) -> bytes:
+        out = tmp_path / f"T{hash_seed}.jsonl"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONHASHSEED"] = hash_seed
+        subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "simulate",
+                "--cache-size", "200MB", "--jobs", "150", "--files", "80",
+                "--request-types", "60", "--max-file-frac", "0.05",
+                "--max-bundle-frac", "0.25", "--seed", "11",
+                "--policy", "optbundle", "--telemetry", f"jsonl:{out}",
+            ],
+            env=env,
+            cwd=tmp_path,
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        return out.read_bytes()
+
+    def test_optbundle_trace_identical_across_hash_seeds(self, tmp_path):
+        first = self._simulate(tmp_path, "0")
+        assert first
+        assert self._simulate(tmp_path, "1") == first
 
 
 class TestParallelSweepTraces:
