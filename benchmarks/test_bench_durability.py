@@ -3,9 +3,10 @@
 A durable run (write-ahead journal, per-job trace flush, periodic
 checkpoints) must cost at most a 10% drop in jobs/sec throughput
 against the JSONL-traced plain replay — the traced run is the fair
-baseline because a durable run always records a trace.  The outputs
-must also be identical: same final metrics, and a byte-identical
-telemetry trace.
+baseline because a durable run always records a trace.  The overhead is
+``bench.py``'s one estimator: the median per-pair ratio over alternating
+back-to-back pairs.  The outputs must also be identical: same final
+metrics, and a byte-identical telemetry trace.
 """
 
 import pytest
@@ -36,24 +37,15 @@ def _bench_trace():
 def test_durable_overhead_within_10_percent(benchmark):
     trace = _bench_trace()
     result = benchmark.pedantic(
-        durability_overhead, args=(trace,), kwargs={"repeats": 11},
-        rounds=1, iterations=1,
+        durability_overhead, args=(trace,), rounds=1, iterations=1
     )
     benchmark.extra_info.update(result)
     overhead = result["durability_overhead"]
-    # the contract gates the code's marginal cost, not the machine's
-    # mood: on a shared box a noise phase can cover a whole measurement,
-    # so an over-threshold reading is re-measured before it fails
-    for _ in range(2):
-        if overhead <= 0.10:
-            break
-        overhead = min(
-            overhead, durability_overhead(trace, repeats=11)["durability_overhead"]
-        )
+    lo, hi = result["durability_overhead_ci"]
     assert overhead <= 0.10, (
-        f"durability costs {overhead:.1%} of jobs/sec throughput even in "
-        "its best of three measurements, exceeding the 10% contract over "
-        "the traced baseline"
+        f"durability costs {overhead:.1%} of jobs/sec throughput (median "
+        f"of {result['repeats']} pairs, 95% CI [{lo:.1%}, {hi:.1%}]), "
+        "exceeding the 10% contract over the traced baseline"
     )
 
 

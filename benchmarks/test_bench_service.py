@@ -4,8 +4,8 @@ The paper's Section 1.2 requires replacement decisions "evaluated in an
 almost negligible time"; the online coordinator adds HTTP framing, the
 write-ahead journal and the arrivals record on top of each decision.
 This benchmark replays the seeded bench workload over real loopback
-HTTP per policy and gates the record that lands in ``BENCH_core.json``
-(schema v5): every job must be serviced without error, the achieved
+HTTP per policy and gates the record that lands in ``BENCH_core.json``:
+every job must be serviced without error, the achieved
 decision quality must equal the batch simulator's exactly, and the
 service must sustain a sane throughput floor at smoke scale.
 """
@@ -13,7 +13,6 @@ service must sustain a sane throughput floor at smoke scale.
 import pytest
 
 from repro.experiments.bench import (
-    BENCH_SCHEMA_VERSION,
     CACHE_IN_REQUESTS,
     DEFAULT_POLICIES,
     MAX_FILE_FRACTION,
@@ -32,11 +31,6 @@ def _bench_trace():
         max_file_fraction=MAX_FILE_FRACTION,
         seed=0,
     )
-
-
-def test_bench_schema_is_v5():
-    """The service section is part of the v5 BENCH layout."""
-    assert BENCH_SCHEMA_VERSION == 5
 
 
 @pytest.mark.benchmark(group="service-throughput")

@@ -43,7 +43,6 @@ class OptFileBundlePolicy(ReplacementPolicy):
         decay: float = 1.0,
         eager_evict: bool = False,
         degree_blind: bool = False,
-        incremental: bool = True,
     ) -> None:
         super().__init__()
         self._planner_kwargs = dict(
@@ -54,7 +53,6 @@ class OptFileBundlePolicy(ReplacementPolicy):
             decay=decay,
             eager_evict=eager_evict,
             degree_blind=degree_blind,
-            incremental=incremental,
         )
         self._planner: OptFileBundlePlanner | None = None
         self._last_plan: LoadPlan | None = None

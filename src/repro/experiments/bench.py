@@ -1,6 +1,6 @@
 """``repro bench`` — a recorded end-to-end performance trajectory.
 
-Two measurements, both written to ``BENCH_<name>.json`` at the repo root so
+Six measurements, all written to ``BENCH_<name>.json`` at the repo root so
 successive commits leave a machine-readable speed trail next to the code:
 
 * **Throughput + selection latency per policy** — replay one seeded
@@ -39,27 +39,38 @@ successive commits leave a machine-readable speed trail next to the code:
   span trees built per job) against tracing off (ring 0); the marginal
   cost of the observability layer (contract: ≤ 5% in jobs/sec).
 
+The three overheads share one estimator, :func:`_paired_overhead`: the
+median per-pair time ratio over alternating back-to-back A/B pairs, with
+a bootstrap CI recorded beside it as a noise indicator.
+
 The workloads are fully seeded, so numbers differ across machines but the
 *shape* (speedup ratios, relative policy costs) is reproducible.
 """
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
+import os
 import platform
 import random
 import statistics
+import tempfile
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
+from repro.analysis.compare import compare_paired
 from repro.cache.registry import make_policy
 from repro.core.bundle import FileBundle
 from repro.core.history import TruncationMode
 from repro.core.optfilebundle import OptFileBundlePlanner
+from repro.errors import ConfigError
 from repro.experiments.common import CACHE_SIZE, bundle_trace, get_scale
 from repro.sim.simulator import SimulationConfig, simulate_trace
 from repro.types import FileId, SizeBytes
+from repro.utils.stats import percentile
 from repro.utils.tables import render_table
 from repro.workload.trace import Trace
 
@@ -79,7 +90,7 @@ __all__ = [
 ]
 
 #: Bump when the JSON layout changes incompatibly.
-BENCH_SCHEMA_VERSION = 5
+BENCH_SCHEMA_VERSION = 6
 
 DEFAULT_POLICIES: tuple[str, ...] = ("optbundle", "landlord")
 
@@ -120,12 +131,11 @@ def _instrument(policy) -> list[float]:
 
 def _latency_stats(samples: Sequence[float]) -> dict:
     ordered = sorted(samples)
-    n = len(ordered)
     return {
-        "n": n,
-        "mean_s": sum(ordered) / n,
-        "p50_s": ordered[(n - 1) // 2],
-        "p95_s": ordered[int(0.95 * (n - 1))],
+        "n": len(ordered),
+        "mean_s": sum(ordered) / len(ordered),
+        "p50_s": percentile(ordered, 50),
+        "p95_s": percentile(ordered, 95),
         "max_s": ordered[-1],
     }
 
@@ -230,7 +240,76 @@ def warm_planner_timings(n: int, *, plans: int = PLANNER_PLANS) -> dict:
 
 
 # --------------------------------------------------------------------- #
-# telemetry overhead
+# overhead estimation: one paired protocol behind every contract
+
+
+class _Overhead(NamedTuple):
+    """One :func:`_paired_overhead` measurement, in the contract's unit."""
+
+    baseline_s: float
+    treated_s: float
+    overhead: float
+    ci: tuple[float, float]
+
+
+def _time_increase(ratio: float) -> float:
+    """Fractional run-time increase of the treated side."""
+    return ratio - 1.0
+
+
+def _throughput_drop(ratio: float) -> float:
+    """Fractional jobs/sec drop of the treated side."""
+    return 1.0 - 1.0 / ratio
+
+
+def _paired_overhead(
+    baseline: Callable[[], object],
+    treated: Callable[[], object],
+    *,
+    pairs: int,
+    unit: Callable[[float], float],
+) -> _Overhead:
+    """Overhead of ``treated`` over ``baseline`` from ``pairs`` A/B pairs.
+
+    Each side runs once untimed (imports, caches, first-touch
+    allocations), then the cyclic GC is paused and the two sides run back
+    to back ``pairs`` times, alternating which goes first, so a
+    noisy-neighbour phase or a slow drift hits both sides of a pair
+    alike.  The one estimator is the median of the per-pair ratios
+    ``r = t_treated / t_baseline``, which a few contaminated pairs cannot
+    move; ``unit`` maps it monotonically into the contract's own unit.
+    ``ci`` is :func:`~repro.analysis.compare.compare_paired`'s 95%
+    bootstrap interval of the mean per-pair slowdown ``r - 1``, mapped
+    the same way: a noise indicator that gates nothing.  ``baseline_s``
+    and ``treated_s`` are per-side medians, for display.
+    """
+    if pairs < 1:
+        raise ConfigError(f"pairs must be >= 1, got {pairs}")
+    baseline()
+    treated()
+    baseline_s: list[float] = []
+    treated_s: list[float] = []
+    sides = [(baseline, baseline_s), (treated, treated_s)]
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(pairs):
+            for run, times in sides if i % 2 == 0 else sides[::-1]:
+                t0 = time.perf_counter()
+                run()
+                times.append(time.perf_counter() - t0)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    ratios = [t / b for b, t in zip(baseline_s, treated_s)]
+    noise = compare_paired([r - 1.0 for r in ratios], [0.0] * pairs)
+    return _Overhead(
+        baseline_s=statistics.median(baseline_s),
+        treated_s=statistics.median(treated_s),
+        overhead=unit(statistics.median(ratios)),
+        ci=(unit(1.0 + noise.ci_low), unit(1.0 + noise.ci_high)),
+    )
 
 
 def telemetry_overhead(
@@ -238,37 +317,29 @@ def telemetry_overhead(
     *,
     policy: str = "optbundle",
     cache_size: SizeBytes = CACHE_SIZE,
-    repeats: int = 3,
+    repeats: int = 31,
 ) -> dict:
-    """Best-of-``repeats`` replay times under each telemetry mode.
+    """Run-time increase of a replay under each telemetry sink.
 
     The instrumentation cannot be compiled out, so the interesting
     number is NullSink-vs-no-recorder: both hit the same ``rec.active``
     guards, the baseline through the module :data:`NULL_RECORDER` and
     the NullSink run through an explicitly installed inert recorder.
-    Best-of-N is used because scheduler noise only ever adds time.
+    Each sink is measured against the no-recorder baseline over
+    ``repeats`` pairs by :func:`_paired_overhead`.
     """
-    import os
-    import tempfile
-
     from repro.telemetry import JsonlSink, NullSink, TraceRecorder
 
     config = SimulationConfig(cache_size=cache_size, policy=policy)
 
-    def best(run) -> float:
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            run()
-            times.append(time.perf_counter() - t0)
-        return min(times)
+    def baseline_run() -> None:
+        simulate_trace(trace, config)
 
-    baseline_s = best(lambda: simulate_trace(trace, config))
-    nullsink_s = best(
-        lambda: simulate_trace(
+    def nullsink_run() -> None:
+        simulate_trace(
             trace, config, recorder=TraceRecorder(NullSink(), profile=False)
         )
-    )
+
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bench_trace.jsonl")
 
@@ -279,21 +350,25 @@ def telemetry_overhead(
             finally:
                 rec.close()
 
-        jsonl_s = best(jsonl_run)
+        null = _paired_overhead(
+            baseline_run, nullsink_run, pairs=repeats, unit=_time_increase
+        )
+        jsonl = _paired_overhead(
+            baseline_run, jsonl_run, pairs=repeats, unit=_time_increase
+        )
     return {
         "policy": policy,
         "n_jobs": len(trace),
         "repeats": repeats,
-        "baseline_s": baseline_s,
-        "nullsink_s": nullsink_s,
-        "jsonl_s": jsonl_s,
-        "nullsink_overhead": nullsink_s / baseline_s - 1.0,
-        "jsonl_overhead": jsonl_s / baseline_s - 1.0,
+        "baseline_s": null.baseline_s,
+        "nullsink_s": null.treated_s,
+        "jsonl_s": jsonl.treated_s,
+        # the contract metric: fractional run-time increase
+        "nullsink_overhead": null.overhead,
+        "nullsink_overhead_ci": list(null.ci),
+        "jsonl_overhead": jsonl.overhead,
+        "jsonl_overhead_ci": list(jsonl.ci),
     }
-
-
-# --------------------------------------------------------------------- #
-# durability overhead
 
 
 def durability_overhead(
@@ -302,37 +377,21 @@ def durability_overhead(
     policy: str = "optbundle",
     cache_size: SizeBytes = CACHE_SIZE,
     checkpoint_every: int = 100,
-    repeats: int = 7,
+    repeats: int = 81,
 ) -> dict:
-    """Best-of-``repeats`` durable run vs JSONL-traced plain run.
+    """Jobs/sec drop of a durable run against the JSONL-traced plain run.
 
     The fair baseline is the *traced* replay: a durable run always
     records a trace, so the marginal cost measured here is the journal
     appends, checkpoints and their flushes (the workload file is staged
-    by byte-copy, outside the contract).  The two sides are measured in
-    back-to-back pairs with alternating order (traced/durable,
-    durable/traced, ...) so noisy-neighbour phases on a shared machine
-    hit both sides instead of whichever one they land on.
-
-    The overhead is the smaller of two noise-robust estimates: the
-    ratio of per-side minima (undisturbed-runtime estimator) and the
-    median of per-pair ratios (drift-cancelling estimator).  On a
-    machine where interference only ever *adds* time, each estimator
-    errs upward, and they do so under different noise shapes — a phase
-    covering one side's every quiet window vs asymmetric contamination
-    of individual pairs — so the smaller one is the better estimate.
-    One untimed warmup pair precedes measurement and the cyclic GC is
-    paused throughout (checkpoint state exports allocate enough to
-    trigger collections mid-run otherwise).
+    by byte-copy once, outside the contract).  Measured over ``repeats``
+    pairs by :func:`_paired_overhead`.
     """
-    import gc
-    import os
-    import tempfile
-
     from repro.durability import DurabilityConfig, run_durable
     from repro.telemetry import JsonlSink, TraceRecorder
 
     config = SimulationConfig(cache_size=cache_size, policy=policy)
+    run_ids = itertools.count()
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bench_trace.jsonl")
@@ -348,62 +407,34 @@ def durability_overhead(
             finally:
                 rec.close()
 
-        def durable_run(i: int) -> None:
+        def durable_run() -> None:
             run_durable(
                 trace,
                 config,
                 DurabilityConfig(
-                    run_dir=os.path.join(tmp, f"durable_{i}"),
+                    run_dir=os.path.join(tmp, f"durable_{next(run_ids)}"),
                     checkpoint_every=checkpoint_every,
                 ),
                 workload_source=workload_path,
             )
 
-        traced_run()
-        durable_run(repeats)
-        ratios: list[float] = []
-        traced_s = durable_s = float("inf")
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            for i in range(repeats):
-                sides = [("traced", traced_run), ("durable", lambda i=i: durable_run(i))]
-                if i % 2:
-                    sides.reverse()
-                pair: dict[str, float] = {}
-                for label, fn in sides:
-                    t0 = time.perf_counter()
-                    fn()
-                    pair[label] = time.perf_counter() - t0
-                traced_s = min(traced_s, pair["traced"])
-                durable_s = min(durable_s, pair["durable"])
-                if pair["durable"] > 0:
-                    ratios.append(1.0 - pair["traced"] / pair["durable"])
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        m = _paired_overhead(
+            traced_run, durable_run, pairs=repeats, unit=_throughput_drop
+        )
     n = len(trace)
-    by_minima = 1.0 - traced_s / durable_s if durable_s > 0 else 0.0
-    by_pairs = statistics.median(ratios) if ratios else 0.0
     return {
         "policy": policy,
         "n_jobs": n,
         "repeats": repeats,
         "checkpoint_every": checkpoint_every,
-        "traced_s": traced_s,
-        "durable_s": durable_s,
-        "traced_jobs_per_sec": n / traced_s if traced_s > 0 else float("inf"),
-        "durable_jobs_per_sec": n / durable_s if durable_s > 0 else float("inf"),
-        "overhead_by_minima": by_minima,
-        "overhead_by_pair_median": by_pairs,
+        "traced_s": m.baseline_s,
+        "durable_s": m.treated_s,
+        "traced_jobs_per_sec": n / m.baseline_s,
+        "durable_jobs_per_sec": n / m.treated_s,
         # the contract metric: fractional drop in jobs/sec throughput
-        "durability_overhead": min(by_minima, by_pairs),
+        "durability_overhead": m.overhead,
+        "durability_overhead_ci": list(m.ci),
     }
-
-
-# --------------------------------------------------------------------- #
-# request-tracing overhead
 
 
 def tracing_overhead(
@@ -412,38 +443,32 @@ def tracing_overhead(
     policy: str = "optbundle",
     cache_size: SizeBytes = CACHE_SIZE,
     checkpoint_every: int = 100,
-    repeats: int = 5,
+    repeats: int = 61,
 ) -> dict:
-    """Tracing-on vs tracing-off submission throughput on the coordinator.
+    """Jobs/sec drop of coordinator submission with request tracing on.
 
     Submits every job of ``trace`` directly to a fresh durable
     :class:`~repro.service.state.CoordinatorState` (no HTTP — the
     network would drown the signal), once with the request tracer
     enabled (ring 256, a span tree grown per job) and once disabled
     (ring 0, the :meth:`~repro.telemetry.tracing.RequestTracer.request`
-    context is a no-op).  Measurement protocol is
-    :func:`durability_overhead`'s: alternating back-to-back pairs, GC
-    paused, and the smaller of the per-side-minima and per-pair-median
-    estimators.  The contract gated in CI is ≤ 5% jobs/sec.
+    context is a no-op).  Measured over ``repeats`` pairs by
+    :func:`_paired_overhead`; the contract gated in CI is ≤ 5% jobs/sec.
     """
-    import gc
-    import tempfile
-
     from repro.service import CoordinatorState, ServiceConfig
 
     requests = list(trace)
+    run_ids = itertools.count()
     with tempfile.TemporaryDirectory() as tmp:
         workload = Path(tmp) / "workload.jsonl"
         trace.dump(workload)
-        run_seq = [0]
 
         def run_once(debug_ring: int) -> None:
-            run_seq[0] += 1
             state = CoordinatorState.create(
                 ServiceConfig(
                     workload=workload,
                     cache_size=cache_size,
-                    run_dir=Path(tmp) / f"run_{run_seq[0]}",
+                    run_dir=Path(tmp) / f"run_{next(run_ids)}",
                     policy=policy,
                     checkpoint_every=checkpoint_every,
                     debug_ring=debug_ring,
@@ -457,47 +482,26 @@ def tracing_overhead(
             finally:
                 state.close()
 
-        run_once(0)
-        run_once(256)
-        baseline_s = traced_s = float("inf")
-        ratios: list[float] = []
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            for i in range(repeats):
-                sides = [("baseline", 0), ("traced", 256)]
-                if i % 2:
-                    sides.reverse()
-                pair: dict[str, float] = {}
-                for label, ring in sides:
-                    t0 = time.perf_counter()
-                    run_once(ring)
-                    pair[label] = time.perf_counter() - t0
-                baseline_s = min(baseline_s, pair["baseline"])
-                traced_s = min(traced_s, pair["traced"])
-                if pair["traced"] > 0:
-                    ratios.append(1.0 - pair["baseline"] / pair["traced"])
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        m = _paired_overhead(
+            lambda: run_once(0),
+            lambda: run_once(256),
+            pairs=repeats,
+            unit=_throughput_drop,
+        )
     n = len(requests)
-    by_minima = 1.0 - baseline_s / traced_s if traced_s > 0 else 0.0
-    by_pairs = statistics.median(ratios) if ratios else 0.0
     return {
         "policy": policy,
         "n_jobs": n,
         "repeats": repeats,
         "debug_ring": 256,
         "checkpoint_every": checkpoint_every,
-        "baseline_s": baseline_s,
-        "traced_s": traced_s,
-        "baseline_jobs_per_sec": n / baseline_s if baseline_s > 0 else float("inf"),
-        "traced_jobs_per_sec": n / traced_s if traced_s > 0 else float("inf"),
-        "overhead_by_minima": by_minima,
-        "overhead_by_pair_median": by_pairs,
+        "baseline_s": m.baseline_s,
+        "traced_s": m.treated_s,
+        "baseline_jobs_per_sec": n / m.baseline_s,
+        "traced_jobs_per_sec": n / m.treated_s,
         # the contract metric: fractional drop in jobs/sec throughput
-        "tracing_overhead": min(by_minima, by_pairs),
+        "tracing_overhead": m.overhead,
+        "tracing_overhead_ci": list(m.ci),
     }
 
 
@@ -521,8 +525,6 @@ def service_throughput(
     client-observed request-latency percentiles, which bound the
     server's per-decision cost from above.
     """
-    import tempfile
-
     from repro.service import CoordinatorState, ServiceConfig, run_loadgen
     from repro.service.testing import running_service
 
@@ -662,7 +664,10 @@ def render_bench(record: dict) -> str:
     ]
     tel = record.get("telemetry")
     if tel:
-        parts.append(f"telemetry overhead ({tel['policy']}, best of {tel['repeats']})")
+        parts.append(
+            f"telemetry overhead ({tel['policy']}, "
+            f"median of {tel['repeats']} pairs)"
+        )
         parts.append(
             render_table(
                 ["mode", "run [s]", "overhead"],
@@ -698,7 +703,7 @@ def render_bench(record: dict) -> str:
     if trc:
         parts.append(
             f"tracing overhead ({trc['policy']}, ring {trc['debug_ring']}, "
-            f"best of {trc['repeats']})"
+            f"median of {trc['repeats']} pairs)"
         )
         parts.append(
             render_table(
@@ -723,7 +728,7 @@ def render_bench(record: dict) -> str:
     if dur:
         parts.append(
             f"durability overhead ({dur['policy']}, checkpoint every "
-            f"{dur['checkpoint_every']} jobs, best of {dur['repeats']})"
+            f"{dur['checkpoint_every']} jobs, median of {dur['repeats']} pairs)"
         )
         parts.append(
             render_table(

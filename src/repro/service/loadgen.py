@@ -327,6 +327,8 @@ def run_loadgen(
         raise ConfigError(f"rate must be positive, got {rate}")
     if limit is not None and limit < 0:
         raise ConfigError(f"limit must be non-negative, got {limit}")
+    if start_job != "auto" and int(start_job) < 0:
+        raise ConfigError(f"start_job must be non-negative, got {start_job}")
     return asyncio.run(
         _run(
             trace,

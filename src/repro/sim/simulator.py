@@ -35,7 +35,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "simulate_trace",
-    "service_request",
 ]
 
 
@@ -135,36 +134,6 @@ def _queued(
                 yield queue.pop_next(scorer)
         else:  # sliding window: refill after each departure
             yield queue.pop_next(scorer)
-
-
-def service_request(
-    job_index: int,
-    request: Request,
-    *,
-    cache: CacheState,
-    policy: ReplacementPolicy,
-    sizes: dict,
-    metrics: MetricsCollector,
-    config: SimulationConfig,
-    rec: TraceRecorder,
-) -> None:
-    """Service one job (compatibility shim over :class:`CoordinatorCore`).
-
-    The per-request body now lives in
-    :class:`repro.sim.coordinator.CoordinatorCore`, which the batch
-    simulator, the durable runner and the coordinator service all drive —
-    so every execution mode produces byte-for-byte the same decision
-    sequence, including telemetry emission order.  This wrapper builds a
-    transient core per call; loop drivers should hold one core instead.
-    """
-    CoordinatorCore(
-        cache=cache,
-        policy=policy,
-        sizes=sizes,
-        metrics=metrics,
-        recorder=rec,
-        check_invariants=config.check_invariants,
-    ).submit(job_index, request)
 
 
 def simulate_trace(

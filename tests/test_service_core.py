@@ -20,7 +20,7 @@ from repro.core.request import Request
 from repro.errors import SimulationError, UnknownFileError
 from repro.sim import CoordinatorCore, JobOutcome
 from repro.sim.metrics import MetricsCollector
-from repro.sim.simulator import SimulationConfig, service_request, simulate_trace
+from repro.sim.simulator import SimulationConfig, simulate_trace
 from repro.telemetry.recorder import TraceRecorder, use_recorder
 from repro.telemetry.sinks import JsonlSink
 from repro.types import MB
@@ -88,34 +88,6 @@ def test_core_trace_byte_identical_to_batch(trace, tmp_path, policy_name):
         sum(o.demand_bytes for o in outcomes)
         == result.metrics.bytes_demand_loaded
     )
-
-
-def test_service_request_shim_matches_batch(trace, tmp_path):
-    """The compatibility shim (transient core per call) stays exact."""
-    config = SimulationConfig(cache_size=CACHE, policy="landlord")
-    reference = simulate_trace(trace, config)
-
-    sizes = trace.catalog.as_dict()
-    cache = CacheState(CACHE)
-    policy = make_policy("landlord", future=trace.bundles())
-    policy.bind(cache, sizes)
-    metrics = MetricsCollector(warmup=0)
-    rec = TraceRecorder(JsonlSink(tmp_path / "shim.jsonl"))
-    for i, request in enumerate(trace):
-        service_request(
-            i,
-            request,
-            cache=cache,
-            policy=policy,
-            sizes=sizes,
-            metrics=metrics,
-            config=config,
-            rec=rec,
-        )
-    rec.close()
-    snap = metrics.snapshot()
-    assert snap.byte_miss_ratio == reference.metrics.byte_miss_ratio
-    assert snap.request_hits == reference.metrics.request_hits
 
 
 def test_outcome_fields_and_as_dict(small_catalog):

@@ -107,6 +107,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="limit"):
             run_loadgen(trace, "127.0.0.1", 1, limit=-1)
 
+    def test_negative_start_job_rejected(self, trace):
+        # a negative index would slice the trace's tail and re-submit
+        # already-serviced jobs as new work; rejected before connecting
+        with pytest.raises(ConfigError, match="start_job"):
+            run_loadgen(trace, "127.0.0.1", 1, start_job=-5)
+
 
 class TestDriving:
     def test_closed_loop_replays_whole_trace(self, trace, served):
