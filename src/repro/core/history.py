@@ -407,9 +407,11 @@ class RequestHistory:
         :meth:`candidates` iterates it — the order is not derivable from
         the arrivals deque.
         """
+        # a bundle iterates its files in sorted order (a pre-sorted
+        # tuple), so list(bundle) is sorted(bundle.files) without the sort
         entries = [
             {
-                "files": sorted(e.bundle.files),
+                "files": list(e.bundle),
                 "value": e.value,
                 "count": e.count,
                 "first_seen": e.first_seen,
@@ -425,10 +427,8 @@ class RequestHistory:
             "tick": self._tick,
             "entries": entries,
             "resident": sorted(self._resident),
-            "window_arrivals": [sorted(b.files) for b in self._window_arrivals],
-            "window_counts": [
-                [sorted(b.files), n] for b, n in self._window_counts.items()
-            ],
+            "window_arrivals": [list(b) for b in self._window_arrivals],
+            "window_counts": [[list(b), n] for b, n in self._window_counts.items()],
         }
 
     @classmethod

@@ -41,11 +41,14 @@ def atomic_write_bytes(path: str | Path, data: bytes, *, fsync: bool = True) -> 
         prefix=path.name + ".", suffix=".tmp", dir=str(path.parent)
     )
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
             if fsync:
-                os.fsync(fh.fileno())
+                os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp_name, path)
         if fsync:
             fsync_dir(path.parent)

@@ -4,7 +4,7 @@ A checkpoint is one JSON document ``ckpt-NNNNNN.json`` (``N`` = index of
 the next job to execute) carrying the full serialized simulation state
 (every component's ``export_state()``), the telemetry high-water marks
 (trace byte offset and next sequence number) and a whole-document CRC32.
-Writes go through :func:`repro.durability.atomicio.atomic_write_text`,
+Writes go through :func:`repro.durability.atomicio.atomic_write_bytes`,
 so a crash leaves either the previous checkpoint set or the new one —
 never a torn file.  The loader walks checkpoints newest-first and falls
 back past any that fail the CRC or schema check, so a corrupted latest
@@ -19,13 +19,14 @@ RPR005 drift linter cross-checks the README against this constant).
 from __future__ import annotations
 
 import json
+import os
 import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.durability.atomicio import atomic_write_text
+from repro.durability.atomicio import atomic_write_bytes
 from repro.errors import CheckpointError
 
 __all__ = [
@@ -53,8 +54,16 @@ CHECKPOINT_REQUIRED_KEYS = frozenset(
 _CKPT_RE = re.compile(r"^ckpt-(\d{6})\.json$")
 
 
+#: one reusable canonical encoder (``json.dumps`` would build one per
+#: call); exported states are trees, so the cycle check is skipped
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
+
+
 def _canonical(doc: dict[str, Any]) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    # ensure_ascii (the default) makes the text pure ASCII
+    return _ENCODER.encode(doc).encode("ascii")
 
 
 @dataclass(frozen=True)
@@ -90,11 +99,15 @@ class Checkpoint:
 
 def list_checkpoints(checkpoint_dir: str | Path) -> list[Path]:
     """Checkpoint files under ``checkpoint_dir``, oldest first."""
-    d = Path(checkpoint_dir)
-    if not d.is_dir():
+    try:
+        names = os.listdir(checkpoint_dir)
+    except (FileNotFoundError, NotADirectoryError):
         return []
-    found = [p for p in d.iterdir() if _CKPT_RE.match(p.name)]
-    return sorted(found, key=lambda p: int(_CKPT_RE.match(p.name).group(1)))  # type: ignore[union-attr]
+    found = sorted(
+        (int(m.group(1)), name) for name in names if (m := _CKPT_RE.match(name))
+    )
+    d = Path(checkpoint_dir)
+    return [d / name for _, name in found]
 
 
 def write_checkpoint(
@@ -116,7 +129,6 @@ def write_checkpoint(
     fall back to an older checkpoint.
     """
     d = Path(checkpoint_dir)
-    d.mkdir(parents=True, exist_ok=True)
     doc: dict[str, Any] = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "job": int(job),
@@ -136,8 +148,13 @@ def write_checkpoint(
     if missing:
         raise CheckpointError(f"checkpoint missing keys: {sorted(missing)}")
     path = d / f"ckpt-{job:06d}.json"
-    text = body[:-1].decode("utf-8") + f',"crc32":{crc}}}'
-    atomic_write_text(path, text, fsync=fsync)
+    data = body[:-1] + b',"crc32":%d}' % crc
+    try:
+        atomic_write_bytes(path, data, fsync=fsync)
+    except FileNotFoundError:
+        # the first checkpoint of a run creates the directory
+        d.mkdir(parents=True, exist_ok=True)
+        atomic_write_bytes(path, data, fsync=fsync)
     for old in list_checkpoints(d)[:-keep]:
         old.unlink()
     return path

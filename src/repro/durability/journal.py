@@ -126,8 +126,12 @@ class JournalWriter:
         self.journal_dir.mkdir(parents=True, exist_ok=True)
         self._max_segment_bytes = max_segment_bytes
         self._fsync_mode = fsync
-        existing = list_segments(self.journal_dir)
-        self._next_index = segment_index(existing[-1]) + 1 if existing else 0
+        #: every segment in the directory, oldest first: listed once here,
+        #: then kept current by this (the directory's only) writer
+        self._segments = list_segments(self.journal_dir)
+        self._next_index = (
+            segment_index(self._segments[-1]) + 1 if self._segments else 0
+        )
         self._fh: Any = None
         self._segment_path: Path | None = None
         self._segment_bytes = 0
@@ -148,6 +152,7 @@ class JournalWriter:
         fh.write(JOURNAL_MAGIC)
         fh.flush()
         self._fh = fh
+        self._segments.append(path)
         self._segment_path = path
         self._segment_bytes = len(JOURNAL_MAGIC)
 
@@ -203,8 +208,9 @@ class JournalWriter:
             self._fh.flush()
             self._fh.close()
             self._fh = None
-        for seg in list_segments(self.journal_dir):
+        for seg in self._segments:
             seg.unlink()
+        self._segments.clear()
         self._open_segment()
         if self._fsync_mode == "always":
             fsync_dir(self.journal_dir)

@@ -16,7 +16,11 @@ when ``queue_length > 1``); :class:`repro.service.state.CoordinatorState`
 feeds it HTTP jobs one at a time and keeps its own ``arrivals.jsonl``.
 
 The per-job commit order is **trace first, journal second**: a job's
-telemetry lines are written before its journal frame.  In the default
+telemetry lines are written before its journal frame.  Each line is
+encoded once, by :func:`~repro.telemetry.events.encode_event` (the
+canonical encoder behind every JSONL sink, so the durable trace is the
+batch simulator's byte for byte), and the same string feeds the replay
+check and the service's response.  In the default
 ``"rotate"`` mode both files are OS-buffered between checkpoints (a
 checkpoint always flushes the trace before recording its offset), so a
 kill may lose the buffered tail of either file; recovery keeps only
@@ -83,7 +87,7 @@ from repro.sim.simulator import (
     SimulationResult,
     _queued,
 )
-from repro.telemetry.events import TraceEvent, event_to_dict
+from repro.telemetry.events import TraceEvent, encode_event
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.recorder import TraceRecorder, use_recorder
 from repro.telemetry.sinks import JsonlSink
@@ -172,18 +176,17 @@ class DurableReport:
 
 
 class _TeeSink(JsonlSink):
-    """A :class:`JsonlSink` that also keeps the current job's serialized
-    lines in :attr:`lines` (the replay check and the service's response
-    both read them)."""
+    """A :class:`JsonlSink` that also keeps the current job's lines in
+    :attr:`lines` (the replay check and the service's response both read
+    them).  Lines are encoded once, by the one canonical encoder every
+    JSONL sink uses, :func:`~repro.telemetry.events.encode_event`."""
 
     def __init__(self, path: Path, *, append: bool):
         super().__init__(path, append=append)
         self.lines: list[str] = []
 
     def emit(self, seq: int, event: TraceEvent) -> None:
-        line = json.dumps(
-            event_to_dict(seq, event), sort_keys=True, separators=(",", ":")
-        )
+        line = encode_event(seq, event)
         self.emit_line(line)
         self.lines.append(line)
 

@@ -46,6 +46,7 @@ from repro.telemetry.events import (
     StageStarted,
     TraceEvent,
     WindowRolled,
+    encode_event,
     event_from_dict,
     event_to_dict,
     validate_event,
@@ -93,6 +94,7 @@ __all__ = [
     "EVENT_TYPES",
     "EVENT_SCHEMA",
     "event_to_dict",
+    "encode_event",
     "event_from_dict",
     "validate_event",
     "validate_trace_file",

@@ -20,12 +20,17 @@ arbitrary JSONL against it (used by the CI trace smoke job).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
-from repro.errors import TraceTruncatedWarning, TraceValidationError
+from repro.errors import (
+    TelemetryError,
+    TraceTruncatedWarning,
+    TraceValidationError,
+)
 
 __all__ = [
     "TraceEvent",
@@ -42,6 +47,7 @@ __all__ = [
     "EVENT_TYPES",
     "EVENT_SCHEMA",
     "event_to_dict",
+    "encode_event",
     "event_from_dict",
     "validate_event",
     "validate_trace_file",
@@ -263,6 +269,134 @@ def event_to_dict(seq: int, event: TraceEvent) -> dict[str, Any]:
     for name in names:
         out[name] = getattr(event, name)
     return out
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+_float_repr = float.__repr__
+_isfinite = math.isfinite
+
+
+def _encode_fallback(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _encode_value(value: Any) -> str:
+    """One value exactly as ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`` writes it.  Only exact builtin types take a
+    fast path; subclasses (``IntEnum``, ``str`` subclasses), non-finite
+    floats, containers other than str-keyed dicts and anything unknown
+    go through ``json.dumps`` itself."""
+    t = type(value)
+    if t is str:
+        return _encode_str(value)
+    if t is int:
+        return _int_repr(value)
+    if t is float and _isfinite(value):
+        return _float_repr(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if t is dict:
+        for key in value:
+            if type(key) is not str:
+                return _encode_fallback(value)
+        # unique str keys: sorting the items never compares two values
+        items = sorted(value.items())
+        return (
+            "{"
+            + ",".join([_encode_str(k) + ":" + _encode_value(v) for k, v in items])
+            + "}"
+        )
+    return _encode_fallback(value)
+
+
+#: declared field type -> the generated encoder's inline fast path: an
+#: exact str goes straight to the C string encoder, an exact int needs no
+#: call (an f-string formats it as ``int.__repr__`` does)
+_INLINE = {
+    "str": "_encode_str({v}) if type({v}) is str",
+    "int": "{v} if type({v}) is int",
+}
+
+
+def _literal(text: str) -> str:
+    """``text`` as literal f-string source between single quotes."""
+    return (
+        text.replace("\\", "\\\\")
+        .replace("'", "\\'")
+        .replace("{", "{{")
+        .replace("}", "}}")
+    )
+
+
+def _compile_encoder(
+    cls: type[TraceEvent],
+) -> Callable[[int, TraceEvent], str]:
+    """Generate the line encoder of one event class.
+
+    The keys are laid out once, in sorted order, as literal ``"key":``
+    prefixes with the ``kind`` string spliced in, so encoding an event
+    is one f-string over its field values.  A field declared ``str`` or
+    ``int`` tests that exact type inline; any other value (including a
+    declared field holding an unexpected type) goes through
+    :func:`_encode_value`.
+    """
+    # annotations are strings here (postponed evaluation); an event class
+    # with evaluated annotations simply takes the generic path
+    declared = {f.name: str(f.type) for f in fields(cls)}
+    if {"seq", "kind"} & set(declared):
+        raise TelemetryError(f"{cls.__name__}: 'seq' and 'kind' are reserved")
+    declared["seq"] = "int"
+    loads: list[str] = []
+    parts: list[str] = []
+    for i, name in enumerate(sorted(("kind", *declared))):
+        key = ("," if i else "") + _encode_str(name) + ":"
+        if name == "kind":
+            parts.append(_literal(key + _encode_value(cls.kind)))
+            continue
+        var = f"v{i}"
+        loads.append(f"    {var} = {name if name == 'seq' else 'e.' + name}\n")
+        expr = f"_encode_value({var})"
+        inline = _INLINE.get(declared[name])
+        if inline is not None:
+            expr = f"{inline.format(v=var)} else {expr}"
+        parts.append(_literal(key) + "{" + expr + "}")
+    src = (
+        "def encode(seq, e):\n"
+        + "".join(loads)
+        + "    return f'{{"
+        + "".join(parts)
+        + "}}'\n"
+    )
+    namespace: dict[str, Any] = {
+        "_encode_str": _encode_str,
+        "_encode_value": _encode_value,
+    }
+    exec(src, namespace)
+    namespace["encode"].__qualname__ = f"encode_{cls.__name__}"
+    encode: Callable[[int, TraceEvent], str] = namespace["encode"]
+    return encode
+
+
+_ENCODERS: dict[type, Callable[[int, TraceEvent], str]] = {}
+
+
+def encode_event(seq: int, event: TraceEvent) -> str:
+    """The canonical JSONL line of one event (without the newline).
+
+    Byte-for-byte ``json.dumps(event_to_dict(seq, event),
+    sort_keys=True, separators=(",", ":"))``, built without the
+    intermediate dict by a per-class encoder generated on first use.
+    Every JSONL sink writes through this one function.
+    """
+    encode = _ENCODERS.get(type(event))
+    if encode is None:
+        encode = _ENCODERS[type(event)] = _compile_encoder(type(event))
+    return encode(seq, event)
 
 
 def event_from_dict(record: Mapping[str, Any]) -> TraceEvent:

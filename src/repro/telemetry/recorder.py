@@ -35,7 +35,11 @@ from typing import Iterable, Iterator
 
 from repro.errors import ConfigError
 from repro.telemetry.events import TraceEvent
-from repro.telemetry.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
+from repro.telemetry.metrics import (
+    DEFAULT_LATENCY_BUCKETS,
+    Histogram,
+    MetricsRegistry,
+)
 from repro.telemetry.sinks import JsonlSink, NullSink, RingSink, TraceSink
 from repro.telemetry.tracing import active_request
 
@@ -62,6 +66,8 @@ class _NoopSpan:
 
 _NOOP_SPAN = _NoopSpan()
 
+_perf_counter = time.perf_counter
+
 
 class _Span:
     """Times one ``with`` block into a registry histogram.
@@ -75,24 +81,23 @@ class _Span:
     __slots__ = ("_hist", "_name", "_t0", "_request", "_node")
 
     def __init__(self, hist, name: str):
+        # _t0, _request and _node are set by __enter__
         self._hist = hist
         self._name = name
-        self._t0 = 0.0
-        self._request = None
-        self._node = None
 
     def __enter__(self) -> "_Span":
-        self._request = active_request()
-        self._t0 = time.perf_counter()
-        if self._request is not None:
-            self._node = self._request.begin_span(self._name, self._t0)
+        self._request = request = active_request()
+        self._t0 = t0 = _perf_counter()
+        if request is not None:
+            self._node = request.begin_span(self._name, t0)
         return self
 
     def __exit__(self, *exc) -> None:
-        end = time.perf_counter()
+        end = _perf_counter()
         self._hist.observe(end - self._t0)
-        if self._request is not None and self._node is not None:
-            self._request.end_span(self._node, end)
+        request = self._request
+        if request is not None and self._node is not None:
+            request.end_span(self._node, end)
         return None
 
 
@@ -116,7 +121,7 @@ class TraceRecorder:
         truncated trace so the stitched file keeps a contiguous ``seq``.
     """
 
-    __slots__ = ("sink", "_registry", "_profile", "_seq", "active")
+    __slots__ = ("sink", "_registry", "_profile", "_seq", "active", "_span_hists")
 
     def __init__(
         self,
@@ -135,6 +140,8 @@ class TraceRecorder:
             profile = self.active or registry is not None
         self._profile = profile
         self._seq = start_seq
+        #: span name -> its registry histogram, resolved once per name
+        self._span_hists: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------ #
     # events
@@ -181,14 +188,19 @@ class TraceRecorder:
         return self._registry
 
     def span(self, name: str) -> "_Span | _NoopSpan":
-        """A context manager timing its block into ``span_<name>_seconds``."""
+        """A context manager timing its block into ``span_<name>_seconds``.
+
+        The histogram is looked up in the registry the first time a name
+        is seen and cached on the recorder after that."""
         if not self._profile:
             return _NOOP_SPAN
-        hist = self.registry.histogram(
-            f"span_{name.replace('.', '_')}_seconds",
-            f"duration of {name}",
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
+        hist = self._span_hists.get(name)
+        if hist is None:
+            hist = self._span_hists[name] = self.registry.histogram(
+                f"span_{name.replace('.', '_')}_seconds",
+                f"duration of {name}",
+                buckets=DEFAULT_LATENCY_BUCKETS,
+            )
         return _Span(hist, name)
 
 

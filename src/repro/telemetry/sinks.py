@@ -3,9 +3,12 @@
 * :class:`NullSink` — the default; marks the recorder inactive so
   instrumentation sites skip event construction entirely (near-zero
   overhead — one attribute check per site).
-* :class:`JsonlSink` — one canonical JSON object per line.  Keys are
-  sorted and separators fixed, so a deterministic event stream yields a
-  byte-identical file.
+* :class:`JsonlSink` — one canonical JSON object per line, encoded by
+  :func:`~repro.telemetry.events.encode_event` (sorted keys, fixed
+  separators: exactly ``json.dumps(event_to_dict(seq, event),
+  sort_keys=True, separators=(",", ":"))``), so a deterministic event
+  stream yields a byte-identical file.  Every JSONL trace writer — this
+  sink and the durable runner's — goes through that one encoder.
 * :class:`RingSink` — an in-memory (optionally bounded) buffer of typed
   events; used by tests and by the per-worker buffering that keeps
   ``--jobs N`` traces deterministic.
@@ -25,7 +28,6 @@ can truncate a torn tail and append from a known-good boundary.
 from __future__ import annotations
 
 import abc
-import json
 import os
 import weakref
 from collections import deque
@@ -33,7 +35,7 @@ from pathlib import Path
 from typing import IO
 
 from repro.errors import ConfigError
-from repro.telemetry.events import TraceEvent, event_to_dict
+from repro.telemetry.events import TraceEvent, encode_event
 
 __all__ = ["TraceSink", "NullSink", "JsonlSink", "RingSink"]
 
@@ -89,15 +91,11 @@ class JsonlSink(TraceSink):
         self._finalizer = weakref.finalize(self, _close_file, self._fh)
 
     def emit(self, seq: int, event: TraceEvent) -> None:
-        self.emit_record(event_to_dict(seq, event))
-
-    def emit_record(self, record: dict) -> None:
-        """Write one already-built event record."""
-        self.emit_line(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        self.emit_line(encode_event(seq, event))
 
     def emit_line(self, line: str) -> None:
-        """Write one already-serialized canonical JSON line (the durable
-        runner serializes once and shares the line with its replay check)."""
+        """Write one already-encoded canonical JSON line (the durable
+        runner encodes once and shares the line with its replay check)."""
         data = line.encode("utf-8") + b"\n"
         self._fh.write(data)
         self.lines_written += 1

@@ -1,9 +1,13 @@
 """Unit tests for the telemetry package: events, sinks, metrics, recorder."""
 
+import enum
 import json
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, TelemetryError
 from repro.telemetry import (
@@ -22,6 +26,7 @@ from repro.telemetry import (
     TraceRecorder,
     WindowRolled,
     current_recorder,
+    encode_event,
     event_from_dict,
     event_to_dict,
     recorder_from_spec,
@@ -32,6 +37,7 @@ from repro.telemetry import (
     validate_event,
     validate_trace_file,
 )
+from repro.telemetry.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.telemetry.recorder import NULL_RECORDER
 
 
@@ -129,6 +135,132 @@ class TestEvents:
             validate_trace_file(path)
         assert exc_info.value.lineno == 2
         assert exc_info.value.field is None
+
+
+def _oracle(seq, event) -> str:
+    return json.dumps(event_to_dict(seq, event), sort_keys=True, separators=(",", ":"))
+
+
+def _outcome(encode, seq, event):
+    """The line, or the exception type when the value is not encodable
+    (a dict whose keys do not sort raises in both encoders)."""
+    try:
+        return encode(seq, event)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**65
+
+
+class _Tag(str):
+    pass
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324, 0.1]
+_SPECIAL_STRINGS = ["", '"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "\ud800", "a'b{c}"]
+
+_strings = st.one_of(
+    st.text(max_size=12),
+    st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF), max_size=6),
+    st.sampled_from(_SPECIAL_STRINGS),
+)
+_ints = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**70, max_value=2**200),
+    st.integers(max_value=-(2**70), min_value=-(2**200)),
+)
+_floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+_scalars = st.one_of(
+    _strings,
+    _ints,
+    _floats,
+    st.none(),
+    st.booleans(),
+    st.sampled_from([_Level.LOW, _Level.HIGH, _Tag("tag"), _Tag('q"\\')]),
+)
+_keys = st.one_of(
+    st.text(max_size=6),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([_Tag("k"), _Level.LOW]),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        st.dictionaries(_keys, inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+#: declared annotation -> the values a well-typed caller passes
+_DECLARED = {
+    "str": _strings,
+    "int": _ints,
+    "bool": st.booleans(),
+    "float": st.one_of(_floats, _ints),
+    "dict | None": st.one_of(
+        st.none(), st.dictionaries(st.text(max_size=6), _values, max_size=4)
+    ),
+}
+
+
+class TestEncodeEvent:
+    """``encode_event`` against the ``json.dumps(event_to_dict(...))`` oracle."""
+
+    @pytest.mark.parametrize("kind", sorted(EVENT_TYPES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, kind, data):
+        cls = EVENT_TYPES[kind]
+        kwargs = {
+            f.name: data.draw(st.one_of(_DECLARED[f.type], _values), label=f.name)
+            for f in fields(cls)
+        }
+        seq = data.draw(st.one_of(st.integers(min_value=0), _ints), label="seq")
+        event = cls(**kwargs)
+        assert _outcome(encode_event, seq, event) == _outcome(_oracle, seq, event)
+
+    @pytest.mark.parametrize(
+        "detail",
+        [
+            None,
+            {},
+            {"credit": 0.5, "last_refresh": -1},
+            {"b": {"z": [1, 2.5, None], "a": math.nan}, "a": [{"y": 1, "x": 2}]},
+            {1: "int key", 2: "keys"},
+            {"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "neg0": -0.0},
+            {"big": 2**70, "tiny": 5e-324, "huge": 1e300, "flag": True},
+            {"enum": _Level.HIGH, "tag": _Tag("x"), _Tag("k"): 1},
+            {"\u00e9\"\\": "\x00\u2028"},
+        ],
+    )
+    def test_file_evicted_detail(self, detail):
+        event = FileEvicted(file="f\u00e9", bytes=2**70, policy="p", detail=detail)
+        assert encode_event(3, event) == _oracle(3, event)
+
+    def test_bool_and_enum_in_int_fields(self):
+        for value in (True, False, _Level.LOW, _Level.HIGH, 2**70, -(2**70)):
+            event = JobArrived(job=value, request_id=value, n_files=1, bytes_requested=0)
+            assert encode_event(value, event) == _oracle(value, event)
+
+    def test_non_finite_floats(self):
+        for value in _SPECIAL_FLOATS:
+            event = WindowRolled(
+                index=0, jobs=1, byte_miss_ratio=value, request_hit_ratio=value
+            )
+            assert encode_event(0, event) == _oracle(0, event)
+
+    def test_unsortable_detail_raises_like_the_oracle(self):
+        event = FileEvicted(file="f", bytes=1, policy="p", detail={1: 0, "a": 0})
+        assert _outcome(encode_event, 0, event) is TypeError
+        assert _outcome(_oracle, 0, event) is TypeError
 
 
 class TestSinks:
@@ -281,6 +413,56 @@ class TestRecorder:
             pass
         hist = rec.registry.get("span_unit_test_seconds")
         assert hist.count == 1 and hist.max >= 0.0
+
+    def test_span_histogram_cached_per_name(self):
+        rec = TraceRecorder(registry=MetricsRegistry())
+        for _ in range(25):
+            with rec.span("cache.admit"):
+                pass
+        with rec.span("cache.evict"):
+            pass
+        assert rec.registry.get("span_cache_admit_seconds").count == 25
+        assert rec.registry.get("span_cache_evict_seconds").count == 1
+
+    def test_span_exports_match_a_registry_lookup_per_span(self, monkeypatch):
+        """The cached histogram exports exactly what looking the
+        histogram up in the registry on every span records."""
+        clock = iter(range(1000))  # 1/1024 s per tick: exact differences
+        monkeypatch.setattr(
+            "repro.telemetry.recorder._perf_counter", lambda: next(clock) / 1024
+        )
+        rec = TraceRecorder(RingSink())
+        names = ["core.plan", "cache.admit", "core.plan", "journal.commit"] * 5
+        for name in names:
+            with rec.span(name):
+                pass
+        reference = MetricsRegistry()
+        for name in names:
+            reference.histogram(
+                f"span_{name.replace('.', '_')}_seconds",
+                f"duration of {name}",
+                buckets=DEFAULT_LATENCY_BUCKETS,
+            ).observe(1 / 1024)
+        assert rec.registry.to_prometheus() == reference.to_prometheus()
+        assert span_profile(rec.registry) == span_profile(reference)
+
+    def test_span_with_lazily_created_registry(self):
+        rec = TraceRecorder(RingSink())  # no registry until first needed
+        for _ in range(3):
+            with rec.span("lazy.block"):
+                pass
+        assert rec.registry.get("span_lazy_block_seconds").count == 3
+
+    def test_span_cache_is_per_recorder(self):
+        a, b = TraceRecorder(RingSink()), TraceRecorder(RingSink())
+        with a.span("shared.name"):
+            pass
+        with b.span("shared.name"):
+            pass
+        with b.span("shared.name"):
+            pass
+        assert a.registry.get("span_shared_name_seconds").count == 1
+        assert b.registry.get("span_shared_name_seconds").count == 2
 
     def test_null_recorder_span_is_noop(self):
         rec = TraceRecorder(NullSink(), profile=False)
